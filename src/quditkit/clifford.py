@@ -230,8 +230,12 @@ def universal_augmentation(fam: GeneratorFamily) -> List[np.ndarray]:
 def qudit_universal_set(l: int, n: int) -> List[np.ndarray]:
     """The 2n-element gate-generator set ``f_0`` plus ``f_k @ f_k+1^dagger``.
 
-    Each element acts on at most two adjacent tensor slots, and the set
-    generates the full traceless matrix algebra under sums and commutators.
+    Each element acts on at most two adjacent tensor slots.  In the cases
+    the tests check, l = 3..7 at n = 1 and l = 3, 4, 5 at n = 2, the set
+    generates the full traceless matrix algebra, of dimension l^(2n) - 1,
+    under sums and commutators.  For l = 2 it spans only so(2n + 1), of
+    dimension n(2n + 1): 3, 10, 21, 36 for n = 1..4, which is all of su(2)
+    at n = 1 and falls short of 4^n - 1 beyond.
     """
     fam = generalized_generators(l, n)
     f = fam.matrices

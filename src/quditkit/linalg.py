@@ -8,7 +8,7 @@ mutates its arguments.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -152,7 +152,7 @@ class ExtendResult(NamedTuple):
 
 
 def orthonormal_extend(
-    basis: Sequence[np.ndarray],
+    basis: Union[Sequence[np.ndarray], np.ndarray],
     candidate,
     tol: float = 1e-9,
     normalizer: Optional[float] = None,
@@ -160,23 +160,37 @@ def orthonormal_extend(
     """Try to grow an orthonormal set by one element.
 
     The candidate is projected onto the orthogonal complement of
-    ``span(basis)`` with modified Gram-Schmidt plus one re-orthogonalization
-    pass (stable for bases up to around a thousand elements).  It is accepted
-    when the residual norm exceeds ``tol`` relative to the candidate's own
-    norm; the returned element is unit-normalized under the same inner
-    product as the basis.
+    ``span(basis)`` with two passes of block classical Gram-Schmidt: with
+    the basis flattened to the rows of ``B``, each pass computes all
+    coefficients at once, ``c = conj(B) r / normalizer``, and subtracts
+    ``c B``.  The second pass restores orthogonality lost to rounding in
+    the first.  The candidate is accepted when the residual norm exceeds
+    ``tol`` relative to the candidate's own norm; the returned element is
+    unit-normalized under the same inner product as the basis.
 
-    ``basis`` must already be orthonormal under :func:`hs_inner` with the
-    given ``normalizer``.
+    ``basis`` is a sequence of (d, d) matrices or one (k, d, d) array, and
+    must already be orthonormal under :func:`hs_inner` with the given
+    ``normalizer``.
     """
     m = as_matrix(candidate, "candidate")
     norm0 = hs_norm(m, normalizer)
     if norm0 == 0.0:
         return ExtendResult(False, 0.0, None)
-    residual = m.astype(complex, copy=True)
-    for _ in range(2):
-        for b in basis:
-            residual -= hs_inner(residual, b, normalizer) * b
+    d = m.shape[0]
+    nu = _resolve_normalizer(d, normalizer)
+    residual = m.ravel().copy()
+    if len(basis):
+        flat = np.asarray(basis, dtype=complex)
+        if flat.ndim != 3 or flat.shape[1:] != m.shape:
+            raise ValueError(
+                f"basis elements must have shape {m.shape}, got {flat.shape[1:]}"
+            )
+        flat = flat.reshape(len(flat), d * d)
+        for _ in range(2):
+            # conj(B) r == conj(B conj(r)), which spares a conjugated copy of B
+            coef = (flat @ residual.conj()).conj() / nu
+            residual -= coef @ flat
+    residual = residual.reshape(d, d)
     rnorm = hs_norm(residual, normalizer)
     if rnorm <= tol * norm0:
         return ExtendResult(False, rnorm, None)

@@ -16,7 +16,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, dagger, hs_norm, matrix_exp, max_abs, orthonormal_extend
+# closure does not call hs_norm; importing it keeps universality.hs_norm bound
+# for perfbench's traced run, which wraps that binding by name.
+from .linalg import hs_norm  # noqa: F401
+from .linalg import as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
 
 __all__ = [
     "REAL_ANTIHERMITIAN",
@@ -38,6 +41,9 @@ COMPLEX_TRACELESS = "complex-traceless"
 MODES = (REAL_ANTIHERMITIAN, COMPLEX_TRACELESS)
 
 _ANTIHERMITIAN_TOL = 1e-11
+# Commutators screened per block; bounds the screening workspaces at a few
+# _SCREEN_ROWS x d^2 arrays whatever the basis size.
+_SCREEN_ROWS = 32
 
 
 class NonConvergenceError(RuntimeError):
@@ -138,9 +144,20 @@ def closure(
 
     Commutators whose norm does not exceed ``tol`` are treated as zero
     before projection, which keeps floating-point dust from inflating the
-    rank.  Raises :class:`NonConvergenceError` when ``max_rounds`` is
-    exhausted with growth still pending (default cap: target dimension + 2,
-    which an honestly converging run can never hit).
+    rank.  The remaining commutators of one frontier element are screened
+    together: two block Gram-Schmidt passes project them onto the
+    complement of the current basis, and a candidate whose residual is at
+    most ``tol`` times its norm is dropped there.  The basis only grows, so
+    such a candidate would be rejected later as well (up to rounding); the
+    survivors go through :func:`orthonormal_extend` one at a time in their
+    original order, and the accepted sequence is the one a candidate-by-
+    candidate sweep gives.  Screening is the dominant cost, O(d^8) for a
+    universal set (O(d^4) candidates at O(d^4) each), run as BLAS block
+    products over a fixed number of candidates at a time.
+
+    Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
+    with growth still pending (default cap: target dimension + 2, which an
+    honestly converging run can never hit).
     """
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
@@ -148,47 +165,121 @@ def closure(
     target = d * d - 1
     if max_rounds is None:
         max_rounds = target + 2
-    basis: List[np.ndarray] = []
+    builder = _BasisBuilder(d, tol)
     for m in gen_set.matrices:
-        res = orthonormal_extend(basis, m, tol=tol, normalizer=1.0)
-        if res.accepted:
-            basis.append(res.new_element)
+        # Traceless commutators never leave a (d^2 - 1)-dimensional space, but
+        # a GeneratorSet built by hand may also carry the identity direction.
+        if builder.size == d * d:
+            break  # the basis already spans every d x d matrix
+        builder.offer(m)
 
     rounds = 0
     frontier_start = 0
-    while frontier_start < len(basis) < target:
+    while frontier_start < builder.size < target:
         if rounds == max_rounds:
             raise NonConvergenceError(
                 f"basis still growing after {max_rounds} rounds "
-                f"(dimension {len(basis)} of {target}); revisit the tolerance"
+                f"(dimension {builder.size} of {target}); revisit the tolerance"
             )
         rounds += 1
-        frontier_end = len(basis)
+        frontier_end = builder.size
         for i in range(frontier_start, frontier_end):
-            a = basis[i]
-            stack = np.stack(basis)
-            candidates = a @ stack - stack @ a
-            for c in candidates:
-                if hs_norm(c, 1.0) <= tol:
-                    continue
-                res = orthonormal_extend(basis, c, tol=tol, normalizer=1.0)
-                if res.accepted:
-                    basis.append(res.new_element)
-                    if len(basis) == target:
-                        break
-            if len(basis) == target:
+            builder.sweep(i, target)
+            if builder.size == target:
                 break
         frontier_start = frontier_end
 
-    achieved = len(basis)
+    achieved = builder.size
     return ClosureResult(
         achieved_dim=achieved,
         target_dim=target,
-        basis=tuple(basis),
+        basis=tuple(builder.elements().copy()),
         rounds=rounds,
         tolerance_used=tol,
         universal=achieved == target,
     )
+
+
+class _BasisBuilder:
+    """The growing orthonormal basis of one closure run and its screening buffers.
+
+    The basis fills the leading rows of one (capacity, d, d) array that
+    doubles when full, up to d^2 rows, so its memory follows the achieved
+    dimension rather than d^2.  The buffers hold one block of
+    ``_SCREEN_ROWS`` commutators and are reused for every block.
+    """
+
+    def __init__(self, d: int, tol: float):
+        self.d = d
+        self.tol = tol
+        self.size = 0
+        self.rows = np.empty((min(d * d, _SCREEN_ROWS), d, d), dtype=complex)
+        self.comm = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
+        self.prod = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
+        self.resid = np.empty((_SCREEN_ROWS, d * d), dtype=complex)
+        self.coef = np.empty(_SCREEN_ROWS * d * d, dtype=complex)
+
+    def elements(self) -> np.ndarray:
+        return self.rows[: self.size]
+
+    def offer(self, candidate: np.ndarray) -> None:
+        """Add the part of ``candidate`` outside the span, if it is not negligible."""
+        res = orthonormal_extend(self.elements(), candidate, tol=self.tol, normalizer=1.0)
+        if not res.accepted:
+            return
+        if self.size == len(self.rows):
+            d = self.d
+            grown = np.empty((min(d * d, 2 * self.size), d, d), dtype=complex)
+            grown[: self.size] = self.elements()
+            self.rows = grown
+        self.rows[self.size] = res.new_element
+        self.size += 1
+
+    def sweep(self, i: int, target: int) -> None:
+        """Offer the commutators of element ``i`` with the basis; stop at ``target`` elements.
+
+        Screening one commutator against k basis elements of d^2 entries
+        costs O(k d^2), and a universal run screens O(d^4) commutators
+        against up to d^2 - 1 elements: O(d^8) overall.
+        """
+        dd = self.d * self.d
+        comm = self.comm.reshape(_SCREEN_ROWS, dd)
+        prod = self.prod.reshape(_SCREEN_ROWS, dd)
+        a = self.rows[i]
+        n_cand = self.size
+        for start in range(0, n_cand, _SCREEN_ROWS):
+            rows = min(_SCREEN_ROWS, n_cand - start)
+            block = self.rows[start:start + rows]
+            np.matmul(a, block, out=self.comm[:rows])
+            np.matmul(block, a, out=self.prod[:rows])
+            comm[:rows] -= prod[:rows]
+            norms = _row_norms(comm[:rows])
+            live = np.flatnonzero(norms > self.tol)
+            if not live.size:
+                continue
+            m, k = live.size, self.size
+            flat = self.rows[:k].reshape(k, dd)
+            resid = self.resid[:m]
+            np.take(comm, live, axis=0, out=resid)
+            coef = self.coef[: m * k].reshape(m, k)
+            for _ in range(2):
+                # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
+                np.conjugate(resid, out=prod[:m])
+                np.matmul(prod[:m], flat.T, out=coef)
+                np.conjugate(coef, out=coef)
+                np.matmul(coef, flat, out=prod[:m])
+                resid -= prod[:m]
+            keep = _row_norms(resid) > self.tol * norms[live]
+            for j in live[keep]:
+                self.offer(self.comm[j])
+                if self.size == target:
+                    return
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row of a C-contiguous complex array, without temporaries."""
+    parts = rows.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 def is_universal(

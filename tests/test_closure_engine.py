@@ -1,0 +1,230 @@
+"""The batched closure engine against the sequential reference, its
+tolerance robustness, and its independence of the BLAS thread count."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from closure_reference import reference_closure, reference_extend
+from quditkit import (
+    COMPLEX_TRACELESS,
+    REAL_ANTIHERMITIAN,
+    biproducts,
+    clifford_generators,
+    closure,
+    max_abs,
+    named_generator_set,
+    orthonormal_extend,
+    prepare_generators,
+    qudit_universal_set,
+    universal_augmentation,
+)
+
+# (label, matrices, achieved dim): the acceptance suite's seven sets.
+ACCEPTANCE_SETS = [
+    ("biproducts n=2", lambda: biproducts(clifford_generators(2)), 6),
+    ("biproducts n=3", lambda: biproducts(clifford_generators(3)), 15),
+    ("augmented n=2", lambda: universal_augmentation(clifford_generators(2)), 15),
+    ("augmented n=3", lambda: universal_augmentation(clifford_generators(3)), 63),
+    ("qudit l=3 n=1", lambda: qudit_universal_set(3, 1), 8),
+    ("qudit l=5 n=1", lambda: qudit_universal_set(5, 1), 24),
+    ("qudit l=3 n=2", lambda: qudit_universal_set(3, 2), 80),
+]
+
+# (set name, l, n, achieved dim): the named sets of the closure-named benchmark.
+NAMED_SETS = [
+    ("qudit-universal", 3, 2, 80),
+    ("clifford-universal", 2, 3, 63),
+    ("generalized", 4, 2, 255),
+    ("biproducts", 2, 5, 45),
+    ("canonical", 4, 2, 30),
+]
+
+
+def _complex_gaussian(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _random_pair(seed, d):
+    rng = np.random.default_rng(seed)
+    return [_complex_gaussian(rng, d) for _ in range(2)]
+
+
+def _block_pair(seed, a, b):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        m = np.zeros((a + b, a + b), dtype=complex)
+        m[:a, :a] = _complex_gaussian(rng, a)
+        m[a:, a:] = _complex_gaussian(rng, b)
+        out.append(m)
+    return out
+
+
+def _flat(basis):
+    return np.stack(basis).reshape(len(basis), -1)
+
+
+def assert_same_closure(gen):
+    new = closure(gen)
+    ref = reference_closure(gen)
+    assert (new.achieved_dim, new.rounds, new.universal) == (
+        ref.achieved_dim, ref.rounds, ref.universal
+    )
+    assert new.target_dim == ref.target_dim
+    # Both bases are orthonormal, so they span the same space exactly when
+    # every singular value of their overlap is 1.
+    overlap = _flat(new.basis) @ _flat(ref.basis).conj().T
+    singular = np.linalg.svd(overlap, compute_uv=False)
+    assert np.max(np.abs(singular - 1.0)) <= 1e-10
+    # The same candidates are accepted in the same order.
+    assert max(max_abs(a - b) for a, b in zip(new.basis, ref.basis)) <= 1e-10
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "label,make,dim", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS]
+    )
+    def test_acceptance_sets(self, label, make, dim):
+        assert_same_closure(prepare_generators(make(), REAL_ANTIHERMITIAN, name=label))
+
+    @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
+    @pytest.mark.parametrize("seed,d", [(11, 3), (12, 4), (13, 5)])
+    def test_generic_pairs(self, mode, seed, d):
+        assert_same_closure(prepare_generators(_random_pair(seed, d), mode))
+
+    def test_block_diagonal_pair(self):
+        # su(3) + su(3) + the relative phase: 8 + 8 + 1 of 35.
+        gen = prepare_generators(_block_pair(21, 3, 3), REAL_ANTIHERMITIAN)
+        assert closure(gen).achieved_dim == 17
+        assert_same_closure(gen)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
+    def test_rejections_stay_in_the_screen(self, mode, monkeypatch):
+        # The block pair's rounds reject almost every commutator; the sequential
+        # engine sends thousands of them to orthonormal_extend.
+        from quditkit import universality
+
+        calls = []
+        extend = universality.orthonormal_extend
+
+        def counting_extend(*args, **kwargs):
+            calls.append(1)
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(universality, "orthonormal_extend", counting_extend)
+        gen = prepare_generators(_block_pair(43, 6, 6), mode)
+        result = closure(gen)
+        assert result.achieved_dim == 71
+        assert len(calls) <= len(gen.matrices) + 2 * result.achieved_dim
+
+
+class TestExtendAgainstReference:
+    @pytest.mark.parametrize("normalizer", [None, 1.0, 2.5])
+    def test_random_bases(self, normalizer):
+        rng = np.random.default_rng(31)
+        d = 4
+        nu = d if normalizer is None else normalizer
+        basis = []
+        for _ in range(9):
+            res = reference_extend(basis, _complex_gaussian(rng, d), normalizer=normalizer)
+            basis.append(res.new_element)
+        for candidate in [_complex_gaussian(rng, d), basis[3] * 2 - basis[5] * 1j]:
+            new = orthonormal_extend(basis, candidate, normalizer=normalizer)
+            ref = reference_extend(basis, candidate, normalizer=normalizer)
+            assert new.accepted == ref.accepted
+            assert new.residual_norm == pytest.approx(ref.residual_norm, rel=1e-10, abs=1e-14)
+            if ref.accepted:
+                assert max_abs(new.new_element - ref.new_element) <= 1e-12
+                assert abs(np.vdot(basis[0], new.new_element)) / nu <= 1e-12
+
+    def test_nearly_dependent_candidate_stays_orthogonal(self):
+        # one Gram-Schmidt pass leaves an overlap of about eps / 1e-8 here
+        rng = np.random.default_rng(33)
+        basis = []
+        while len(basis) < 5:
+            basis.append(orthonormal_extend(basis, _complex_gaussian(rng, 3)).new_element)
+        direction = orthonormal_extend(basis, _complex_gaussian(rng, 3)).new_element
+        candidate = sum((j + 1) * b for j, b in enumerate(basis)) + 1e-8 * direction
+        result = orthonormal_extend(basis, candidate, tol=1e-12)
+        assert result.accepted
+        assert max(abs(np.vdot(b, result.new_element)) / 3 for b in basis) <= 1e-14
+
+    def test_array_basis_matches_sequence(self):
+        rng = np.random.default_rng(32)
+        basis = [orthonormal_extend([], _complex_gaussian(rng, 3)).new_element]
+        candidate = _complex_gaussian(rng, 3)
+        from_list = orthonormal_extend(basis, candidate)
+        from_array = orthonormal_extend(np.stack(basis), candidate)
+        assert max_abs(from_list.new_element - from_array.new_element) == 0
+
+    def test_empty_array_basis(self):
+        result = orthonormal_extend(np.empty((0, 2, 2)), 2 * np.eye(2))
+        assert result.accepted
+        assert max_abs(result.new_element - np.eye(2)) <= 1e-15
+
+    def test_basis_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            orthonormal_extend([np.eye(3)], np.eye(2))
+
+
+TOLERANCES = (1e-7, 1e-9, 1e-11)
+
+
+class TestToleranceSweep:
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    @pytest.mark.parametrize(
+        "name,l,n,dim", NAMED_SETS, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_SETS]
+    )
+    def test_named_sets(self, name, l, n, dim, tol):
+        gen = prepare_generators(named_generator_set(name, l, n), REAL_ANTIHERMITIAN)
+        assert closure(gen, tol=tol).achieved_dim == dim
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_acceptance_sets(self, tol):
+        for label, make, dim in ACCEPTANCE_SETS:
+            gen = prepare_generators(make(), REAL_ANTIHERMITIAN, name=label)
+            assert closure(gen, tol=tol).achieved_dim == dim, label
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_generic_and_block_pairs(self, tol):
+        cases = [
+            (_random_pair(41, 16), REAL_ANTIHERMITIAN, 255),
+            (_random_pair(42, 12), COMPLEX_TRACELESS, 143),
+            (_block_pair(43, 6, 6), REAL_ANTIHERMITIAN, 71),
+        ]
+        for mats, mode, dim in cases:
+            assert closure(prepare_generators(mats, mode), tol=tol).achieved_dim == dim
+
+
+def test_report_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "quditkit", "closure", "--set", "generalized",
+            "--dim", "4", "--sites", "2"]
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"achieved-dim: 255" in outputs[0]
+
+
+def test_seeds_past_the_matrix_space_do_not_overflow():
+    # At tol=1e-300 rounding dust passes for a new direction, so the six
+    # seeds of three real-mode 2x2 matrices would outgrow all 4 dimensions.
+    rng = np.random.default_rng(51)
+    mats = [_complex_gaussian(rng, 2) for _ in range(3)]
+    result = closure(prepare_generators(mats, REAL_ANTIHERMITIAN), tol=1e-300)
+    assert result.achieved_dim <= 4

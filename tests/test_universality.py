@@ -169,6 +169,25 @@ class TestClosureProperties:
             GeneratorSet("bad", 2, (1j * pauli(1),), "spooky")
 
 
+class TestQuditUniversalDimensions:
+    @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21), (4, 36)])
+    def test_qubit_sets_span_odd_orthogonal_algebra(self, n, dim):
+        # at l=2 the set closes on so(2n+1), dimension n(2n+1), not su(2^n)
+        gen = prepare_generators(qudit_universal_set(2, n), REAL_ANTIHERMITIAN)
+        result = closure(gen)
+        assert result.achieved_dim == dim == n * (2 * n + 1)
+        assert result.universal == (n == 1)
+
+    @pytest.mark.parametrize(
+        "l,n", [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (3, 2), (4, 2), (5, 2)]
+    )
+    def test_higher_orders_are_universal(self, l, n):
+        gen = prepare_generators(qudit_universal_set(l, n), REAL_ANTIHERMITIAN)
+        result = closure(gen)
+        assert (result.achieved_dim, result.target_dim) == (l ** (2 * n) - 1,) * 2
+        assert result.universal
+
+
 class TestIsUniversal:
     def test_biproducts_three_sites_fall_short(self):
         # 15 biproduct directions against the 63-dimensional target
