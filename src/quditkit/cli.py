@@ -310,6 +310,13 @@ def cmd_closure(args) -> int:
                 f"l^n = {dim} exceeds the cap {args.max_dim}; "
                 "pass --max-dim to run larger closures"
             )
+        if args.set_name == "qudit-universal" and args.dim == 2:
+            n = args.sites
+            print(
+                f"note: at l=2 qudit-universal spans so(2n+1) = so({2 * n + 1}), "
+                f"of dimension {n * (2 * n + 1)}; this is all of su(2^n) only at n=1",
+                file=sys.stderr,
+            )
         entries = _resolve_set(args.set_name, args.dim, args.sites, normalized=False)
         matrices = [m for _, m in entries]
         set_label = args.set_name

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "as_matrix",
@@ -112,6 +111,10 @@ def matrix_exp(a) -> np.ndarray:
     keeps unitaries exactly unitary to rounding.  Anything else falls back to
     scaling-and-squaring on the truncated power series.
     """
+    # Imported here: scipy is this function's only use of it and would more
+    # than double the package's import time.
+    import scipy.linalg
+
     m = as_matrix(a)
     mh = m.conj().T
     if max_abs(m @ mh - mh @ m) <= _NORMALITY_TOL:

@@ -1,6 +1,12 @@
 """Command-line behavior: exit codes, file outputs, and report stability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from quditkit import basis_state, max_abs, pauli
 from quditkit.cli import main
@@ -168,6 +174,19 @@ class TestClosure:
         assert "achieved-dim: 80" in out
         assert "universal: true" in out
 
+    def test_qubit_qudit_set_notes_orthogonal_algebra(self, capsys):
+        argv = ["closure", "--set", "qudit-universal", "--dim", "2", "--sites", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert "achieved-dim: 10" in out
+        assert "target-dim: 15" in out
+        assert "universal: false" in out
+        assert "note" not in out
+        assert err.count("\n") == 1
+        assert "so(5)" in err and "su(2^n)" in err
+        _, _, err3 = run(capsys, "closure", "--set", "qudit-universal", "--dim", "3")
+        assert err3 == ""
+
     def test_generator_set_from_files(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "generate", "--set", "qudit-universal", "--dim", "3",
@@ -314,3 +333,33 @@ class TestApply:
         code, _, err = run(capsys, "apply", "--input", str(state_path))
         assert code == 2
         assert "--gate" in err
+
+
+_SCIPY_PROBES = {
+    "import": "import quditkit",
+    "version": (
+        "import runpy\n"
+        "sys.argv = ['quditkit', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('quditkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_SCIPY_PROBES))
+def test_startup_leaves_scipy_unimported(probe):
+    # scipy is imported only by matrix_exp, which no startup path calls
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        + _SCIPY_PROBES[probe]
+        + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

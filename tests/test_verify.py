@@ -1,5 +1,10 @@
 """The aggregated verification suites behind the verify command."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from quditkit import run_verification
 from quditkit.verify import DEFAULT_DIMS, DEFAULT_SITES
 
@@ -63,3 +68,21 @@ def test_reports_are_reproducible():
 def test_default_grid_constants():
     assert DEFAULT_DIMS == (2, 3, 4, 5)
     assert DEFAULT_SITES == (1, 2)
+
+
+def test_report_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "quditkit", "verify"]
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"check: commutator-closed-form") == len(DEFAULT_DIMS)
+    assert outputs[0].endswith(b"overall: pass\n")

@@ -1,0 +1,43 @@
+"""Loop decomposition kept as the slow reference for the FFT Weyl kernel.
+
+``reference_decompose`` takes one trace inner product per monomial and
+``reference_reconstruct`` sums the weighted monomials one at a time.  Tests
+compare :func:`quditkit.weyl_decompose` and :func:`quditkit.weyl_reconstruct`
+against them; nothing in the package imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from quditkit.linalg import as_matrix, hs_inner
+from quditkit.weyl import _check_order, weyl_element
+
+
+def reference_decompose(m, l: int) -> np.ndarray:
+    """Entry (a, b) is ``hs_inner(m, shift^a @ clock^b, normalizer=l)``."""
+    l = _check_order(l)
+    m = as_matrix(m)
+    if m.shape[0] != l:
+        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}, expected {l}")
+    table = np.zeros((l, l), dtype=complex)
+    for a in range(l):
+        for b in range(l):
+            table[a, b] = hs_inner(m, weyl_element(l, a, b), normalizer=l)
+    return table
+
+
+def reference_reconstruct(table) -> np.ndarray:
+    """Sum of ``table[a, b] * shift^a @ clock^b`` over the nonzero entries."""
+    table = np.asarray(table, dtype=complex)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValueError(f"coefficient table must be square, got shape {table.shape}")
+    l = table.shape[0]
+    _check_order(l)
+    out = np.zeros((l, l), dtype=complex)
+    for a in range(l):
+        for b in range(l):
+            c = table[a, b]
+            if c != 0:
+                out += c * weyl_element(l, a, b)
+    return out
