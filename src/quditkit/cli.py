@@ -14,6 +14,7 @@ The default tolerance is 1e-9 and can be overridden with the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -65,8 +66,8 @@ def _default_tolerance() -> Optional[float]:
         value = float(raw)
     except ValueError as exc:
         raise FormatError(f"{_ENV_TOLERANCE} is not a number: {raw!r}") from exc
-    if value <= 0:
-        raise FormatError(f"{_ENV_TOLERANCE} must be positive, got {raw!r}")
+    if not 0 < value < math.inf:
+        raise FormatError(f"{_ENV_TOLERANCE} must be finite and positive, got {raw!r}")
     return value
 
 
@@ -79,8 +80,8 @@ def _resolve_tolerance(args) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 

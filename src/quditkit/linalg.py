@@ -80,6 +80,12 @@ def _resolve_normalizer(dim: int, normalizer: Optional[float]) -> float:
     return normalizer
 
 
+def _check_tolerance(tol: float) -> None:
+    # NaN fails both comparisons, so it is rejected along with inf, 0 and negatives
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def hs_inner(a, b, normalizer: Optional[float] = None) -> complex:
     """Trace inner product ``Tr(a @ b†) / normalizer``.
 
@@ -169,12 +175,14 @@ def orthonormal_extend(
     ``c B``.  The second pass restores orthogonality lost to rounding in
     the first.  The candidate is accepted when the residual norm exceeds
     ``tol`` relative to the candidate's own norm; the returned element is
-    unit-normalized under the same inner product as the basis.
+    unit-normalized under the same inner product as the basis.  ``tol``
+    must be finite and positive (:class:`ValueError` otherwise).
 
     ``basis`` is a sequence of (d, d) matrices or one (k, d, d) array, and
     must already be orthonormal under :func:`hs_inner` with the given
     ``normalizer``.
     """
+    _check_tolerance(tol)
     m = as_matrix(candidate, "candidate")
     norm0 = hs_norm(m, normalizer)
     if norm0 == 0.0:

@@ -16,6 +16,7 @@ Loaders raise :class:`FormatError` on any structural problem.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import List, Sequence, Union
 
@@ -49,9 +50,9 @@ def format_float(x: float) -> str:
 
 
 def _pair_list(values: Sequence[complex]) -> str:
-    return ", ".join(
-        f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in values
-    )
+    # "%.17g" % x is format(x, ".17g") for a float, so this is format_float per part
+    flat = np.ascontiguousarray(values, dtype=complex).view(np.float64).tolist()
+    return ", ".join(["[%.17g, %.17g]"] * (len(flat) // 2)) % tuple(flat)
 
 
 def _read_json(path: PathLike) -> dict:
@@ -75,18 +76,27 @@ def _get_pairs(data: dict, key: str, path: PathLike, expected: int) -> np.ndarra
     raw = data.get(key)
     if not isinstance(raw, list) or len(raw) != expected:
         raise FormatError(f"{path}: field {key!r} must be a list of {expected} [re, im] pairs")
-    out = np.empty(expected, dtype=complex)
-    for idx, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise FormatError(f"{path}: {key}[{idx}] is not a [re, im] pair")
-        out[idx] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(out)):
+    # Exact type checks: bool is an int subclass and is refused like a string.
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int, float}
+    ):
+        for idx, pair in enumerate(raw):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(type(v) in (int, float) for v in pair)
+            ):
+                raise FormatError(f"{path}: {key}[{idx}] is not a [re, im] pair")
+    try:
+        out = np.array(raw, dtype=np.float64)
+        finite = np.all(np.isfinite(out))
+    except OverflowError:  # an integer literal past the double range, like 1e999
+        finite = False
+    if not finite:
         raise FormatError(f"{path}: field {key!r} contains non-finite values")
-    return out
+    return out.view(complex).reshape(expected)
 
 
 def save_matrix(path: PathLike, matrix: np.ndarray) -> None:
@@ -124,6 +134,12 @@ def load_state(path: PathLike) -> QuditState:
     data = _read_json(path)
     l = _get_int(data, "l", path, 2)
     n = _get_int(data, "n", path, 1)
+    # l**n >= 2**(n * (bits(l) - 1)).  Past 2**64 no list is that long, and
+    # the power itself could take any time and memory to form.
+    if n * (l.bit_length() - 1) > 64:
+        raise FormatError(
+            f"{path}: field 'amplitudes' must be a list of {l}^{n} [re, im] pairs"
+        )
     amplitudes = _get_pairs(data, "amplitudes", path, l**n)
     return QuditState(l, n, amplitudes)
 

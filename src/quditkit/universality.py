@@ -19,7 +19,7 @@ import numpy as np
 # closure does not call hs_norm; importing it keeps universality.hs_norm bound
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
-from .linalg import as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
+from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
 
 __all__ = [
     "REAL_ANTIHERMITIAN",
@@ -136,31 +136,34 @@ def closure(
 
     The inputs seed the basis through :func:`orthonormal_extend` (raw trace
     inner product, so duplicates and dependent directions drop out).  Each
-    round then sweeps every element added in the previous round against the
-    whole current basis, inserting new ``[a, b] = a@b - b@a`` directions in a
-    fixed order; the run stops when a round adds nothing or the target
-    dimension d^2 - 1 is reached.  Processing order is deterministic, so
-    identical inputs yield identical bases.
+    round then sweeps every element added in the previous round (the
+    frontier), in order, against the basis as it stood when that element's
+    sweep began, inserting new ``[a, b] = a@b - b@a`` directions in a fixed
+    order; the run stops when a round adds nothing or the target dimension
+    d^2 - 1 is reached.  A sweep skips the pairs an earlier sweep of the
+    same round already formed with the opposite sign.  Processing order is
+    deterministic, so identical inputs yield identical bases.
 
-    Commutators whose norm does not exceed ``tol`` are treated as zero
-    before projection, which keeps floating-point dust from inflating the
-    rank.  The remaining commutators of one frontier element are screened
-    together: two block Gram-Schmidt passes project them onto the
-    complement of the current basis, and a candidate whose residual is at
-    most ``tol`` times its norm is dropped there.  The basis only grows, so
-    such a candidate would be rejected later as well (up to rounding); the
-    survivors go through :func:`orthonormal_extend` one at a time in their
-    original order, and the accepted sequence is the one a candidate-by-
-    candidate sweep gives.  Screening is the dominant cost, O(d^8) for a
-    universal set (O(d^4) candidates at O(d^4) each), run as BLAS block
-    products over a fixed number of candidates at a time.
+    Commutators whose norm does not exceed ``tol`` are treated as zero,
+    which keeps floating-point dust from inflating the rank.  The rest are
+    screened in blocks by one block Gram-Schmidt pass against the basis:
+    one whose residual is at most ``tol`` times its norm is rejected there.
+    The survivors get a second pass, are orthonormalized in order against
+    the elements accepted earlier in their block, and are accepted under
+    the test :func:`orthonormal_extend` applies, so the accepted sequence
+    is the one a candidate-by-candidate sweep gives.  Screening is the
+    dominant cost, O(d^8) for a universal set (O(d^4) candidates at O(d^4)
+    each), run as BLAS block products over a fixed number of candidates at
+    a time.
 
+    ``tol`` must be finite and positive (:class:`ValueError` otherwise).
     Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
     with growth still pending (default cap: target dimension + 2, which an
     honestly converging run can never hit).
     """
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
+    _check_tolerance(tol)
     d = gen_set.dim
     target = d * d - 1
     if max_rounds is None:
@@ -184,7 +187,7 @@ def closure(
         rounds += 1
         frontier_end = builder.size
         for i in range(frontier_start, frontier_end):
-            builder.sweep(i, target)
+            builder.sweep(i, frontier_start, target)
             if builder.size == target:
                 break
         frontier_start = frontier_end
@@ -225,55 +228,97 @@ class _BasisBuilder:
     def offer(self, candidate: np.ndarray) -> None:
         """Add the part of ``candidate`` outside the span, if it is not negligible."""
         res = orthonormal_extend(self.elements(), candidate, tol=self.tol, normalizer=1.0)
-        if not res.accepted:
-            return
+        if res.accepted:
+            self._append(res.new_element)
+
+    def _append(self, element: np.ndarray) -> None:
         if self.size == len(self.rows):
             d = self.d
             grown = np.empty((min(d * d, 2 * self.size), d, d), dtype=complex)
             grown[: self.size] = self.elements()
             self.rows = grown
-        self.rows[self.size] = res.new_element
+        self.rows[self.size] = element
         self.size += 1
 
-    def sweep(self, i: int, target: int) -> None:
-        """Offer the commutators of element ``i`` with the basis; stop at ``target`` elements.
+    def sweep(self, i: int, frontier_start: int, target: int) -> None:
+        """Add the new directions among the commutators of element ``i``; stop at ``target``.
 
-        Screening one commutator against k basis elements of d^2 entries
-        costs O(k d^2), and a universal run screens O(d^4) commutators
-        against up to d^2 - 1 elements: O(d^8) overall.
+        Partners are the ``n`` elements present when the sweep starts, less
+        ``frontier_start..i``: ``[b_i, b_i] = 0``, and the frontier elements
+        before ``i`` were swept against a basis holding ``b_i``, so
+        ``[b_i, b_j] = -[b_j, b_i]`` is already in the span.  The partners
+        go in blocks of ``_SCREEN_ROWS``.  A block's commutators of norm at
+        most ``tol`` are dropped; one block Gram-Schmidt pass against the
+        basis rejects those whose residual is at most ``tol`` times their
+        norm, which one pass decides to O(eps) of that norm.  The survivors
+        get the second pass as one block product and are then admitted in
+        order by :meth:`admit`.  Screening one commutator against k basis
+        elements of d^2 entries costs O(k d^2), and a universal run screens
+        O(d^4) commutators against up to d^2 - 1 elements: O(d^8) overall.
         """
+        n = self.size
+        for lo, hi in ((0, frontier_start), (i + 1, n)):
+            for start in range(lo, hi, _SCREEN_ROWS):
+                if self._sweep_block(i, start, min(hi, start + _SCREEN_ROWS), target):
+                    return
+
+    def _sweep_block(self, i: int, start: int, stop: int, target: int) -> bool:
+        """Screen and admit ``[b_i, b_j]`` for ``start <= j < stop``; True once at ``target``."""
         dd = self.d * self.d
         comm = self.comm.reshape(_SCREEN_ROWS, dd)
-        prod = self.prod.reshape(_SCREEN_ROWS, dd)
+        rows = stop - start
         a = self.rows[i]
-        n_cand = self.size
-        for start in range(0, n_cand, _SCREEN_ROWS):
-            rows = min(_SCREEN_ROWS, n_cand - start)
-            block = self.rows[start:start + rows]
-            np.matmul(a, block, out=self.comm[:rows])
-            np.matmul(block, a, out=self.prod[:rows])
-            comm[:rows] -= prod[:rows]
-            norms = _row_norms(comm[:rows])
-            live = np.flatnonzero(norms > self.tol)
-            if not live.size:
-                continue
-            m, k = live.size, self.size
-            flat = self.rows[:k].reshape(k, dd)
-            resid = self.resid[:m]
-            np.take(comm, live, axis=0, out=resid)
-            coef = self.coef[: m * k].reshape(m, k)
-            for _ in range(2):
-                # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
-                np.conjugate(resid, out=prod[:m])
-                np.matmul(prod[:m], flat.T, out=coef)
-                np.conjugate(coef, out=coef)
-                np.matmul(coef, flat, out=prod[:m])
-                resid -= prod[:m]
-            keep = _row_norms(resid) > self.tol * norms[live]
-            for j in live[keep]:
-                self.offer(self.comm[j])
-                if self.size == target:
-                    return
+        block = self.rows[start:stop]
+        np.matmul(a, block, out=self.comm[:rows])
+        np.matmul(block, a, out=self.prod[:rows])
+        comm[:rows] -= self.prod.reshape(_SCREEN_ROWS, dd)[:rows]
+        norms = _row_norms(comm[:rows])
+        live = np.flatnonzero(norms > self.tol)
+        if not live.size:
+            return False
+        k = self.size
+        flat = self.rows[:k].reshape(k, dd)
+        resid = self.resid[: live.size]
+        np.take(comm, live, axis=0, out=resid)
+        self._project(resid, flat)
+        norms = norms[live]
+        keep = np.flatnonzero(_row_norms(resid) > self.tol * norms)
+        if not keep.size:
+            return False
+        survivors = self.resid[: keep.size]
+        survivors[:] = resid[keep]
+        self._project(survivors, flat)
+        for s, norm in zip(survivors, norms[keep]):
+            self.admit(s, norm, k)
+            if self.size == target:
+                return True
+        return False
+
+    def _project(self, resid: np.ndarray, flat: np.ndarray) -> None:
+        """One block Gram-Schmidt pass: ``resid -= (resid B^H) B`` with B the rows of ``flat``."""
+        m, k = len(resid), len(flat)
+        prod = self.prod.reshape(_SCREEN_ROWS, -1)[:m]
+        coef = self.coef[: m * k].reshape(m, k)
+        # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
+        np.conjugate(resid, out=prod)
+        np.matmul(prod, flat.T, out=coef)
+        np.conjugate(coef, out=coef)
+        np.matmul(coef, flat, out=prod)
+        resid -= prod
+
+    def admit(self, residual: np.ndarray, norm: float, k: int) -> None:
+        """Add a screened commutator if its residual exceeds ``tol * norm``.
+
+        ``residual`` (flat, overwritten) is already orthogonal to the first
+        ``k`` elements; two passes project it against those added since,
+        and the test is the one :func:`orthonormal_extend` applies.
+        """
+        added = self.rows[k:self.size].reshape(-1, self.d * self.d)
+        for _ in range(2):
+            residual -= (added @ residual.conj()).conj() @ added
+        rnorm = np.linalg.norm(residual)
+        if rnorm > self.tol * norm:
+            self._append((residual / rnorm).reshape(self.d, self.d))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -121,6 +121,15 @@ class TestVerify:
         assert code == 1
         assert "overall: FAIL" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_env_var_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch, value):
+        # inf used to pass every check
+        monkeypatch.setenv("QUDITKIT_TOLERANCE", value)
+        code, out, err = run(capsys, "verify", "--dim", "2", "--sites", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
+
 
 class TestClosure:
     def test_biproducts_fall_short(self, capsys):
@@ -156,6 +165,22 @@ class TestClosure:
         )
         assert code == 0
         assert "achieved-dim: 8" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_tolerance_flag_must_be_finite_and_positive(self, capsys, value):
+        # nan used to report achieved-dim: 4 of 8 and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "--set", "qudit-universal", "--dim", "3", f"--tolerance={value}"])
+        assert exc.value.code == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_env_var_tolerance_must_be_finite(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QUDITKIT_TOLERANCE", value)
+        code, out, err = run(capsys, "closure", "--set", "qudit-universal", "--dim", "3")
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
 
     def test_dimension_cap(self, capsys):
         code, _, err = run(

@@ -103,22 +103,61 @@ class TestAgainstReference:
         assert closure(gen).achieved_dim == 17
         assert_same_closure(gen)
 
+    def test_partial_set_over_three_rounds(self):
+        gen = prepare_generators(named_generator_set("canonical", 4, 2), REAL_ANTIHERMITIAN)
+        result = closure(gen)
+        assert (result.achieved_dim, result.rounds) == (30, 3)
+        assert_same_closure(gen)
+
+    def test_round_with_every_frontier_pair_in_the_span(self):
+        # The 28 seeds already span a Lie algebra: the one round, whose
+        # frontier is every seed, rejects every commutator.
+        gen = prepare_generators(named_generator_set("biproducts", 2, 4), REAL_ANTIHERMITIAN)
+        result = closure(gen)
+        assert (result.achieved_dim, result.rounds) == (28, 1)
+        assert_same_closure(gen)
+
+    @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
+    def test_near_dependent_commutator_stays_orthogonal(self, mode):
+        # [x, y] lies within 1e-7 (relative) of the seed z, so after one
+        # screening pass its residual still overlaps the basis by about
+        # eps / 1e-7; the survivors' second pass removes that.  The new
+        # element itself is only determined to about eps / 1e-7, so it is
+        # not compared with the reference's.
+        rng = np.random.default_rng(61)
+        x, y, w = (_complex_gaussian(rng, 4) for _ in range(3))
+        c = x @ y - y @ x
+        z = c + 1e-7 * np.linalg.norm(c) * w / np.linalg.norm(w)
+        gen = prepare_generators([x, y, z], mode)
+        new, ref = closure(gen), reference_closure(gen)
+        assert (new.achieved_dim, new.rounds) == (ref.achieved_dim, ref.rounds)
+        basis = _flat(new.basis)
+        gram = basis.conj() @ basis.T
+        assert max_abs(gram - np.eye(len(basis))) <= 1e-14
+
 
 class TestScreen:
     @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
     def test_rejections_stay_in_the_screen(self, mode, monkeypatch):
         # The block pair's rounds reject almost every commutator; the sequential
-        # engine sends thousands of them to orthonormal_extend.
+        # engine sends thousands of them to the exact orthonormalization step,
+        # which is orthonormal_extend for the seeds and admit for commutators.
         from quditkit import universality
 
         calls = []
         extend = universality.orthonormal_extend
+        admit = universality._BasisBuilder.admit
 
         def counting_extend(*args, **kwargs):
             calls.append(1)
             return extend(*args, **kwargs)
 
+        def counting_admit(self, *args):
+            calls.append(1)
+            return admit(self, *args)
+
         monkeypatch.setattr(universality, "orthonormal_extend", counting_extend)
+        monkeypatch.setattr(universality._BasisBuilder, "admit", counting_admit)
         gen = prepare_generators(_block_pair(43, 6, 6), mode)
         result = closure(gen)
         assert result.achieved_dim == 71

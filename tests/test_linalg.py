@@ -213,3 +213,8 @@ class TestOrthonormalExtend:
     def test_default_normalizer_is_dimension(self):
         result = orthonormal_extend([], 2 * SIGMA1)
         assert max_abs(result.new_element - SIGMA1) <= 1e-15
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            orthonormal_extend([SIGMA1], SIGMA1 + SIGMA3, tol=tol)
