@@ -6,7 +6,8 @@ reals for anti-Hermitian spans (the su(d) case) and over the complex
 numbers for unconstrained traceless spans (the sl(d, C) case).  Both modes
 run the same arithmetic: within the anti-Hermitian subspace, complex and
 real linear dependence coincide, so one orthonormalization kernel counts
-dimensions correctly for either field.
+dimensions correctly for either field.  Sets spanned by Weyl monomials are
+decided by index arithmetic on the monomials instead (see :func:`closure`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
 from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
+from .weyl import _decompose, _digits, _monomial_entries
 
 __all__ = [
     "REAL_ANTIHERMITIAN",
@@ -44,6 +46,8 @@ _ANTIHERMITIAN_TOL = 1e-11
 # Commutators screened per block; bounds the screening workspaces at a few
 # _SCREEN_ROWS x d^2 arrays whatever the basis size.
 _SCREEN_ROWS = 32
+# Seeds decomposed over the Weyl monomials per block, for the same reason.
+_SUPPORT_ROWS = 8
 
 
 class NonConvergenceError(RuntimeError):
@@ -96,7 +100,11 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Outcome of a closure run; ``universal`` iff the full target dimension was reached."""
+    """Outcome of a closure run; ``universal`` iff the full target dimension was reached.
+
+    ``engine`` names the engine that ran, ``"monomial"`` or ``"dense"``
+    (see :func:`closure`).
+    """
 
     achieved_dim: int
     target_dim: int
@@ -104,6 +112,7 @@ class ClosureResult:
     rounds: int
     tolerance_used: float
     universal: bool
+    engine: str = "dense"
 
 
 def prepare_generators(
@@ -135,17 +144,47 @@ def closure(
     """Grow an orthonormal basis of the Lie algebra generated by the set.
 
     The inputs seed the basis through :func:`orthonormal_extend` (raw trace
-    inner product, so duplicates and dependent directions drop out).  Each
-    round then sweeps every element added in the previous round (the
-    frontier), in order, against the basis as it stood when that element's
-    sweep began, inserting new ``[a, b] = a@b - b@a`` directions in a fixed
-    order; the run stops when a round adds nothing or the target dimension
-    d^2 - 1 is reached.  A sweep skips the pairs an earlier sweep of the
-    same round already formed with the opposite sign.  Processing order is
-    deterministic, so identical inputs yield identical bases.
+    inner product, so duplicates and dependent directions drop out).  An
+    input whose norm is at most ``tol`` times the largest input norm is
+    treated as zero, as a commutator of norm at most ``tol`` is: rounding
+    dust such as ``m - m*`` of a Hermitian ``m`` would otherwise pass the
+    relative test and count as a direction.
 
-    Commutators whose norm does not exceed ``tol`` are treated as zero,
-    which keeps floating-point dust from inflating the rank.  The rest are
+    The seeds are then decomposed over the Weyl monomials ``W(x)``,
+    x in Z_l^(2n), of each factorization d = l^n (smallest l first; see
+    :mod:`quditkit.weyl`).  Their support S0 is the set of monomials on
+    which some seed has a component of norm above ``tol``.  When S0 has
+    exactly as many monomials as the seeds have rank, leaves out the
+    identity and, in real mode, holds ``-x`` with every ``x``, the seeds
+    span every matrix of the mode supported on S0.  Since
+    ``[W(x), W(y)]`` is a nonzero multiple of ``W(x + y)`` exactly when
+    the symplectic form of x and y is nonzero mod l, the closure is then
+    decided on integer codes (the ``"monomial"`` engine); otherwise the
+    dense sweep below runs (the ``"dense"`` engine).  The input decides;
+    :attr:`ClosureResult.engine` reports which ran.
+
+    Both engines run the same schedule.  Each round sweeps every element
+    added in the previous round (the frontier), in order, against the
+    elements present when that element's sweep began, less the frontier
+    elements before it, whose pairs an earlier sweep of the same round
+    already formed with the opposite sign.  The run stops when a round
+    adds nothing or the target dimension d^2 - 1 is reached, and
+    ``rounds`` counts the rounds.  The dense engine sweeps basis matrices
+    and inserts new ``[a, b] = a@b - b@a`` directions.  The monomial engine
+    sweeps monomial codes, seeded in the order the seeds first reach them,
+    and inserts ``x + y`` when it is new and the symplectic form is
+    nonzero; in real mode it inserts ``-(x + y)`` right after, since an
+    anti-Hermitian matrix with a component along ``W(z)`` has one along
+    ``W(-z)``.  When every seed is one monomial, as in complex mode for
+    phase-times-monomial inputs, the dense engine accepts those same
+    monomials in the same order and the two count the same rounds.  A
+    real-mode dense element mixes several pairs {z, -z}, and a cancellation
+    among them can delay a direction by a round, so there the counts can
+    differ; they agree on every named set with d <= 16.  Processing order
+    is deterministic, so identical inputs yield identical bases.
+
+    The dense engine's basis is the Gram-Schmidt basis it grew.  Commutators
+    whose norm does not exceed ``tol`` are treated as zero.  The rest are
     screened in blocks by one block Gram-Schmidt pass against the basis:
     one whose residual is at most ``tol`` times its norm is rejected there.
     The survivors get a second pass, are orthonormalized in order against
@@ -156,34 +195,67 @@ def closure(
     each), run as BLAS block products over a fixed number of candidates at
     a time.
 
+    The monomial engine's basis is built from the reached monomials, in
+    the order reached: ``W(x) / sqrt(d)`` in complex mode; in real mode the
+    two anti-Hermitian combinations ``(W - W*)`` and ``i (W + W*)`` of
+    ``W = W(x)`` for each pair {x, -x}, normalized, and the one nonzero
+    combination ``(W - W*) + i (W + W*)`` when x = -x.  It spans the space
+    the dense engine's basis spans, but is a different basis of it.  A
+    sweep costs O(d^2) integer operations, O(d^4) for a universal set, and
+    the basis O(d^4) memory, as the dense engine's does.
+
     ``tol`` must be finite and positive (:class:`ValueError` otherwise).
     Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
     with growth still pending (default cap: target dimension + 2, which an
     honestly converging run can never hit).
     """
+    builder, max_rounds = _seed(gen_set, max_rounds, tol)
+    found = _monomial_support(builder.elements(), gen_set.mode, tol)
+    if found is None:
+        return _dense_sweep(builder, max_rounds)
+    del builder  # frees the seeds before the monomial basis is built
+    return _monomial_closure(*found, gen_set.mode, max_rounds, tol)
+
+
+def _dense_closure(
+    gen_set: GeneratorSet,
+    max_rounds: Optional[int] = None,
+    tol: float = 1e-9,
+) -> ClosureResult:
+    """:func:`closure` on the dense engine whatever the input."""
+    return _dense_sweep(*_seed(gen_set, max_rounds, tol))
+
+
+def _seed(
+    gen_set: GeneratorSet, max_rounds: Optional[int], tol: float
+) -> Tuple["_BasisBuilder", int]:
+    """The basis builder holding the seeds, and the round cap."""
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
     _check_tolerance(tol)
     d = gen_set.dim
-    target = d * d - 1
     if max_rounds is None:
-        max_rounds = target + 2
+        max_rounds = d * d + 1  # the target dimension + 2
     builder = _BasisBuilder(d, tol)
-    for m in gen_set.matrices:
+    norms = [np.linalg.norm(m) for m in gen_set.matrices]
+    floor = tol * max(norms)
+    for m, norm in zip(gen_set.matrices, norms):
         # Traceless commutators never leave a (d^2 - 1)-dimensional space, but
         # a GeneratorSet built by hand may also carry the identity direction.
         if builder.size == d * d:
             break  # the basis already spans every d x d matrix
-        builder.offer(m)
+        if norm > floor:
+            builder.offer(m)
+    return builder, max_rounds
 
+
+def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
+    target = builder.d * builder.d - 1
     rounds = 0
     frontier_start = 0
     while frontier_start < builder.size < target:
         if rounds == max_rounds:
-            raise NonConvergenceError(
-                f"basis still growing after {max_rounds} rounds "
-                f"(dimension {builder.size} of {target}); revisit the tolerance"
-            )
+            raise _non_convergence(max_rounds, builder.size, target)
         rounds += 1
         frontier_end = builder.size
         for i in range(frontier_start, frontier_end):
@@ -191,16 +263,170 @@ def closure(
             if builder.size == target:
                 break
         frontier_start = frontier_end
+    return _result(builder.elements().copy(), target, rounds, builder.tol, "dense")
 
-    achieved = builder.size
+
+def _non_convergence(max_rounds: int, size: int, target: int) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"basis still growing after {max_rounds} rounds "
+        f"(dimension {size} of {target}); revisit the tolerance"
+    )
+
+
+def _result(basis: np.ndarray, target: int, rounds: int, tol: float, engine: str) -> ClosureResult:
     return ClosureResult(
-        achieved_dim=achieved,
+        achieved_dim=len(basis),
         target_dim=target,
-        basis=tuple(builder.elements().copy()),
+        basis=tuple(basis),
         rounds=rounds,
         tolerance_used=tol,
-        universal=achieved == target,
+        universal=len(basis) == target,
+        engine=engine,
     )
+
+
+def _factorizations(d: int) -> List[Tuple[int, int]]:
+    """Every (l, n) with l^n == d and l >= 2, smallest l first."""
+    pairs = [(round(d ** (1 / n)), n) for n in range(d.bit_length() - 1, 0, -1)]
+    return [(l, n) for l, n in pairs if l**n == d]
+
+
+def _negated(l: int, n: int) -> np.ndarray:
+    """Code of ``-x`` for every monomial code x of n l-level sites."""
+    return ((-_digits(l, 2 * n)) % l) @ (l ** np.arange(2 * n - 1, -1, -1))
+
+
+def _monomial_support(
+    seeds: np.ndarray, mode: str, tol: float
+) -> Optional[Tuple[int, int, np.ndarray]]:
+    """``(l, n, codes)`` when the orthonormal seeds span all of their monomial support.
+
+    ``codes`` lists the support in the order the seeds first reach it, each
+    seed's monomials by increasing code.  None when no factorization of d
+    qualifies (see :func:`closure`).
+    """
+    for l, n in _factorizations(seeds.shape[-1]):
+        codes = _first_reached(seeds, l, n, tol)
+        if codes is None or 0 in codes:
+            continue
+        if mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
+            continue
+        return l, n, codes
+    return None
+
+
+def _first_reached(seeds: np.ndarray, l: int, n: int, tol: float) -> Optional[np.ndarray]:
+    """The monomials the seeds have components along, in first-reach order.
+
+    None as soon as they outnumber the seeds.  The seeds are decomposed
+    ``_SUPPORT_ROWS`` at a time, which bounds the FFT workspace, and a dense
+    seed ends the search at its own block.
+    """
+    d = seeds.shape[-1]
+    member = np.zeros(d * d, dtype=bool)
+    blocks = []
+    for start in range(0, len(seeds), _SUPPORT_ROWS):
+        table = _decompose(seeds[start:start + _SUPPORT_ROWS], l, n)
+        # A unit seed's component along W(x) has norm |coefficient| * sqrt(d).
+        # Flat indices run seed by seed, each seed's codes in increasing order.
+        met = np.flatnonzero(np.abs(table) > tol / np.sqrt(d)) % (d * d)
+        _, first = np.unique(met, return_index=True)
+        met = met[np.sort(first)]
+        met = met[~member[met]]
+        member[met] = True
+        blocks.append(met)
+        if np.count_nonzero(member) > len(seeds):
+            return None
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+
+
+def _monomial_closure(
+    l: int, n: int, seed_codes: np.ndarray, mode: str, max_rounds: int, tol: float
+) -> ClosureResult:
+    """The closure of the monomials ``seed_codes`` by index arithmetic (see :func:`closure`)."""
+    d = l**n
+    target = d * d - 1
+    digits = _digits(l, 2 * n)  # row x: shift digits a, then clock digits b
+    weights = l ** np.arange(2 * n - 1, -1, -1)
+    neg = _negated(l, n) if mode == REAL_ANTIHERMITIAN else None
+    member = np.zeros(d * d, dtype=bool)
+    codes = np.empty(target, dtype=np.intp)  # the identity, code 0, is never reached
+    size = len(seed_codes)
+    codes[:size] = seed_codes
+    member[seed_codes] = True
+    rounds = 0
+    frontier_start = 0
+    while frontier_start < size < target:
+        if rounds == max_rounds:
+            raise _non_convergence(max_rounds, size, target)
+        rounds += 1
+        frontier_end = size
+        for i in range(frontier_start, frontier_end):
+            x = digits[codes[i]]
+            y = digits[np.concatenate((codes[:frontier_start], codes[i + 1:size]))]
+            # [W(x), W(y)] is a nonzero multiple of W(x + y) iff a_x.b_y - b_x.a_y != 0 mod l
+            omega = (y[:, n:] @ x[:n] - y[:, :n] @ x[n:]) % l
+            sums = ((x + y) % l) @ weights
+            new = sums[(omega != 0) & ~member[sums]]
+            if neg is not None and new.size:
+                new = _with_negations(new, neg)
+            member[new] = True
+            codes[size:size + len(new)] = new
+            size += len(new)
+            if size == target:
+                break
+        frontier_start = frontier_end
+    basis = _monomial_basis(l, n, codes[:size], mode)
+    return _result(basis, target, rounds, tol, "monomial")
+
+
+def _with_negations(new: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Each pair {z, -z} met in ``new``, in order of first meeting, as z then -z.
+
+    An anti-Hermitian matrix with a component along W(z) has one along
+    W(-z), so real mode admits the two together; members stay closed under
+    negation, so neither is a member yet.
+    """
+    _, first = np.unique(np.minimum(new, neg[new]), return_index=True)
+    lead = new[np.sort(first)]
+    pairs = np.stack((lead, neg[lead]), axis=1)
+    keep = np.ones(pairs.shape, dtype=bool)
+    keep[:, 1] = pairs[:, 1] != lead  # z = -z counts once
+    return pairs[keep]
+
+
+def _monomial_basis(l: int, n: int, codes: np.ndarray, mode: str) -> np.ndarray:
+    """Orthonormal basis of the matrices of ``mode`` spanned by the monomials ``codes``.
+
+    Each element is ``a W + b W*`` for one monomial ``W``, written entry by
+    entry into one zeroed array, so building it takes no memory beyond the
+    basis itself.
+    """
+    d = l**n
+    if mode == COMPLEX_TRACELESS:
+        lead, a, b = codes, np.full(len(codes), 1 / np.sqrt(d)), np.zeros(len(codes))
+    else:
+        # codes holds -x with every x; x leads its pair if it comes first
+        neg = _negated(l, n)
+        position = np.empty(d * d, dtype=np.intp)
+        position[codes] = np.arange(len(codes))
+        first = codes[position[codes] <= position[neg[codes]]]
+        paired = neg[first] != first
+        lead = np.repeat(first, 1 + paired)
+        second = np.zeros(len(lead), dtype=bool)
+        second[np.cumsum(1 + paired)[paired] - 1] = True
+        # W - W* and i (W + W*) for a pair {x, -x}; when x = -x, W* = +-W and
+        # their sum is the one nonzero combination
+        a = np.where(second, 1j, 1.0) / np.sqrt(2 * d)
+        b = np.where(second, 1j, -1.0) / np.sqrt(2 * d)
+        alone = ~np.repeat(paired, 1 + paired)
+        a[alone], b[alone] = (1 + 1j) / (2 * np.sqrt(d)), (1j - 1) / (2 * np.sqrt(d))
+    cols, values = _monomial_entries(l, n, lead)
+    element, row = np.arange(len(lead))[:, None], np.arange(d)[None, :]
+    basis = np.zeros((len(lead), d, d), dtype=complex)
+    basis[element, row, cols] += a[:, None] * values
+    basis[element, cols, row] += b[:, None] * values.conj()
+    return basis
 
 
 class _BasisBuilder:
@@ -209,7 +435,9 @@ class _BasisBuilder:
     The basis fills the leading rows of one (capacity, d, d) array that
     doubles when full, up to d^2 rows, so its memory follows the achieved
     dimension rather than d^2.  The buffers hold one block of
-    ``_SCREEN_ROWS`` commutators and are reused for every block.
+    ``_SCREEN_ROWS`` commutators and are reused for every block; the first
+    sweep allocates them, so seeding alone, all the monomial engine needs,
+    does not.
     """
 
     def __init__(self, d: int, tol: float):
@@ -217,6 +445,10 @@ class _BasisBuilder:
         self.tol = tol
         self.size = 0
         self.rows = np.empty((min(d * d, _SCREEN_ROWS), d, d), dtype=complex)
+        self.comm = None  # the screening buffers, allocated by the first sweep
+
+    def _allocate_screen(self) -> None:
+        d = self.d
         self.comm = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
         self.prod = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
         self.resid = np.empty((_SCREEN_ROWS, d * d), dtype=complex)
@@ -256,6 +488,8 @@ class _BasisBuilder:
         elements of d^2 entries costs O(k d^2), and a universal run screens
         O(d^4) commutators against up to d^2 - 1 elements: O(d^8) overall.
         """
+        if self.comm is None:
+            self._allocate_screen()
         n = self.size
         for lo, hi in ((0, frontier_start), (i + 1, n)):
             for start in range(lo, hi, _SCREEN_ROWS):

@@ -13,6 +13,17 @@ Each monomial lives on one wrapped diagonal, so the decomposition is a
 gather of the l wrapped diagonals followed by an FFT along each, and the
 reconstruction is the inverse FFT scattered back.
 
+On n sites (dimension d = l^n, site 1 the leftmost tensor factor) the
+monomial ``W(x)``, x = (a_1..a_n, b_1..b_n) in Z_l^(2n), is the tensor
+product of the per-site ``shift^a_k @ clock^b_k``.  It too lives on one
+wrapped diagonal, the one with column digits ``j = i + a mod l`` site by
+site, with values ``zeta^(b . j)``, so :func:`weyl_decompose` with ``n``
+sites gathers the d wrapped diagonals and runs an n-dimensional FFT over
+each.  Its (d, d) table is indexed by the base-l numbers of
+(a_1..a_n) and (b_1..b_n), site 1 most significant; the integer
+``code = A * d + B`` of entry (A, B) names the monomial in the closure
+engine.
+
 Column k of the shift matrix carries its one in row k-1 (mod l), so the
 matrix lowers a computational basis index by one and its adjoint raises it.
 The raising permutation is exposed separately by the circuit module, where
@@ -105,6 +116,12 @@ def clock_matrix(l: int) -> np.ndarray:
     return np.diag(np.exp(angles))
 
 
+def _check_sites(n: int) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"site count n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def _check_index(l: int, value: int, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or not 0 <= value < l:
         raise ValueError(f"{name} must lie in [0, {l}), got {value!r}")
@@ -135,25 +152,41 @@ def weyl_commutation_residual(l: int) -> float:
     return max_abs(u @ v - zeta * (v @ u))
 
 
-def weyl_decompose(m, l: int) -> np.ndarray:
-    """Coefficients of ``m`` in the monomial basis.
+def weyl_decompose(m, l: int, n: int = 1) -> np.ndarray:
+    """Coefficients of ``m`` in the monomial basis of ``n`` l-level sites.
 
-    Returns an (l, l) table indexed by (shift power, clock power); entry
-    (a, b) is the trace inner product of ``m`` with ``shift^a @ clock^b``
-    using normalizer l.  Reconstruction through :func:`weyl_reconstruct`
-    recovers ``m``.
+    Returns an (l^n, l^n) table indexed by (shift powers, clock powers),
+    each the base-l number of its n per-site powers with site 1 most
+    significant; entry (A, B) is the trace inner product of ``m`` with the
+    monomial ``W(x)`` using normalizer l^n.  For one site that is the (l, l)
+    table of ``shift^a @ clock^b``, and reconstruction through
+    :func:`weyl_reconstruct` recovers ``m``.
 
     ``shift^a @ clock^b`` is supported on the wrapped diagonal of entries
     ``((j - a) mod l, j)`` with values ``zeta^(b*j)``, so row a of the table
     is the discrete Fourier transform of that diagonal of ``m``: one gather
-    and one FFT along the rows, O(l^2 log l).
+    and one FFT along the rows, O(l^2 log l).  On n sites the diagonal of
+    row A is gathered site by site and transformed by an n-dimensional FFT,
+    O(d^2 log d) for d = l^n.
     """
     l = _check_order(l)
+    n = _check_sites(n)
     m = as_matrix(m)
-    if m.shape[0] != l:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}, expected {l}")
-    rows, cols = _wrapped_diagonals(l)
-    return np.fft.fft(m[rows, cols], axis=1) / l
+    if m.shape[0] != l**n:
+        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}, expected {l**n}")
+    return _decompose(m, l, n)
+
+
+def _decompose(stack: np.ndarray, l: int, n: int) -> np.ndarray:
+    """:func:`weyl_decompose` of each (d, d) matrix on the last two axes, unchecked."""
+    d = l**n
+    rows, cols = _wrapped_diagonals(l, n)
+    table = stack[..., rows, cols].reshape(stack.shape[:-2] + (d,) + (l,) * n)
+    # the n-dimensional FFT as n one-dimensional ones, which spares fftn's overhead
+    for axis in range(-n, 0):
+        table = np.fft.fft(table, axis=axis)
+    table /= d
+    return table.reshape(stack.shape)
 
 
 def weyl_reconstruct(table) -> np.ndarray:
@@ -173,13 +206,42 @@ def weyl_reconstruct(table) -> np.ndarray:
     return out
 
 
-def _wrapped_diagonals(l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Index arrays with ``(rows[a, j], cols[a, j]) == ((j - a) mod l, j)``.
+def _wrapped_diagonals(l: int, n: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the wrapped diagonals of n sites: (l^n, l^n) rows, l^n columns.
 
-    Row a lists the support of ``shift^a``, ordered by column.
+    ``(rows[A, J], cols[J])`` is the entry whose column digits are J's and
+    whose row digits are ``(j_k - a_k) mod l``, so row A lists the support
+    of the shift monomial with powers A, ordered by column; the two arrays
+    broadcast together as indices.  For one site,
+    ``(rows[a, j], cols[j]) == ((j - a) mod l, j)``.
     """
     a = np.arange(l)
-    return (a[None, :] - a[:, None]) % l, np.broadcast_to(a, (l, l))
+    site = (a[None, :] - a[:, None]) % l
+    rows = site
+    for _ in range(n - 1):
+        rows = (l * rows[:, None, :, None] + site[None, :, None, :]).reshape(l * len(rows), -1)
+    return rows, np.arange(len(rows))
+
+
+def _monomial_entries(l: int, n: int, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of the monomials ``W(x)`` named by ``codes`` (see the module notes).
+
+    Returns two (k, d) arrays: row i of the monomial of ``codes[k]`` holds
+    ``values[k, i]`` in column ``cols[k, i]`` and is zero elsewhere.  For
+    x = (a, b) that column j has the digits ``i + a mod l`` and the value is
+    ``zeta^(b . j)``.
+    """
+    digits = _digits(l, n)
+    shifts, clocks = np.divmod(np.asarray(codes, dtype=np.intp), l**n)
+    col_digits = (digits[None, :, :] + digits[shifts][:, None, :]) % l
+    cols = col_digits @ (l ** np.arange(n - 1, -1, -1))
+    powers = np.einsum("kin,kn->ki", col_digits, digits[clocks]) % l
+    return cols, np.exp(2j * np.pi * powers / l)
+
+
+def _digits(l: int, n: int) -> np.ndarray:
+    """(l^n, n) table of base-l digits, most significant first."""
+    return np.indices((l,) * n).reshape(n, -1).T
 
 
 def reflection_matrix(l: int) -> np.ndarray:

@@ -3,6 +3,9 @@ reference, Fourier matrix, and classical-function embeddings."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quditkit import (
     GateSpec,
@@ -106,6 +109,22 @@ class TestApplyKGate:
         direct = apply_kgate(gate, state)
         embedded = apply_full(embed_kgate(gate, n), state)
         assert max_abs(direct.amplitudes - embedded.amplitudes) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_embedded_matrix_on_random_registers(self, data):
+        l = data.draw(st.integers(2, 4), label="l")
+        n = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[l]), label="n")
+        sites = data.draw(st.permutations(range(1, n + 1)), label="site order")
+        sites = sites[: data.draw(st.integers(1, n), label="arity")]
+        entries = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+        k = len(sites)
+        gate = GateSpec(l, data.draw(arrays(complex, (l**k, l**k), elements=entries)), sites)
+        state = QuditState(l, n, data.draw(arrays(complex, l**n, elements=entries)))
+        direct = apply_kgate(gate, state)
+        embedded = apply_full(embed_kgate(gate, n), state)
+        scale = max(1.0, max_abs(gate.matrix)) * max(1.0, max_abs(state.amplitudes))
+        assert max_abs(direct.amplitudes - embedded.amplitudes) <= 1e-13 * l**k * scale
 
     def test_site_out_of_range(self):
         gate = GateSpec(2, pauli(1), (3,))

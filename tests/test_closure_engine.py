@@ -1,5 +1,9 @@
-"""The batched closure engine against the sequential reference, its
-tolerance robustness, and its independence of the BLAS thread count."""
+"""The batched (dense) closure engine against the sequential reference, its
+tolerance robustness, and its independence of the BLAS thread count.
+
+The named and acceptance sets are Weyl-monomial sets, on which ``closure``
+runs the monomial engine, so the comparisons with the reference call the
+dense engine directly through ``_dense_closure``."""
 
 import os
 import subprocess
@@ -23,6 +27,8 @@ from quditkit import (
     qudit_universal_set,
     universal_augmentation,
 )
+from quditkit.serialize import save_matrix
+from quditkit.universality import _dense_closure
 
 # (label, matrices, achieved dim): the acceptance suite's seven sets.
 ACCEPTANCE_SETS = [
@@ -70,7 +76,7 @@ def _flat(basis):
 
 
 def assert_same_closure(gen):
-    new = closure(gen)
+    new = _dense_closure(gen)
     ref = reference_closure(gen)
     assert (new.achieved_dim, new.rounds, new.universal) == (
         ref.achieved_dim, ref.rounds, ref.universal
@@ -105,7 +111,7 @@ class TestAgainstReference:
 
     def test_partial_set_over_three_rounds(self):
         gen = prepare_generators(named_generator_set("canonical", 4, 2), REAL_ANTIHERMITIAN)
-        result = closure(gen)
+        result = _dense_closure(gen)
         assert (result.achieved_dim, result.rounds) == (30, 3)
         assert_same_closure(gen)
 
@@ -113,7 +119,7 @@ class TestAgainstReference:
         # The 28 seeds already span a Lie algebra: the one round, whose
         # frontier is every seed, rejects every commutator.
         gen = prepare_generators(named_generator_set("biproducts", 2, 4), REAL_ANTIHERMITIAN)
-        result = closure(gen)
+        result = _dense_closure(gen)
         assert (result.achieved_dim, result.rounds) == (28, 1)
         assert_same_closure(gen)
 
@@ -129,7 +135,7 @@ class TestAgainstReference:
         c = x @ y - y @ x
         z = c + 1e-7 * np.linalg.norm(c) * w / np.linalg.norm(w)
         gen = prepare_generators([x, y, z], mode)
-        new, ref = closure(gen), reference_closure(gen)
+        new, ref = _dense_closure(gen), reference_closure(gen)
         assert (new.achieved_dim, new.rounds) == (ref.achieved_dim, ref.rounds)
         basis = _flat(new.basis)
         gram = basis.conj() @ basis.T
@@ -214,6 +220,8 @@ class TestExtendAgainstReference:
 
 
 TOLERANCES = (1e-7, 1e-9, 1e-11)
+# closure runs the monomial engine on the named and acceptance sets
+ENGINES = (closure, _dense_closure)
 
 
 class TestToleranceSweep:
@@ -223,13 +231,15 @@ class TestToleranceSweep:
     )
     def test_named_sets(self, name, l, n, dim, tol):
         gen = prepare_generators(named_generator_set(name, l, n), REAL_ANTIHERMITIAN)
-        assert closure(gen, tol=tol).achieved_dim == dim
+        for engine in ENGINES:
+            assert engine(gen, tol=tol).achieved_dim == dim, engine.__name__
 
     @pytest.mark.parametrize("tol", TOLERANCES)
     def test_acceptance_sets(self, tol):
         for label, make, dim in ACCEPTANCE_SETS:
             gen = prepare_generators(make(), REAL_ANTIHERMITIAN, name=label)
-            assert closure(gen, tol=tol).achieved_dim == dim, label
+            for engine in ENGINES:
+                assert engine(gen, tol=tol).achieved_dim == dim, (label, engine.__name__)
 
     @pytest.mark.parametrize("tol", TOLERANCES)
     def test_generic_and_block_pairs(self, tol):
@@ -242,10 +252,10 @@ class TestToleranceSweep:
             assert closure(prepare_generators(mats, mode), tol=tol).achieved_dim == dim
 
 
-def test_report_independent_of_blas_threads():
+def _closure_reports_by_blas_threads(*args):
+    """``closure`` stdout under OPENBLAS_NUM_THREADS=1 and under the default."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = [sys.executable, "-m", "quditkit", "closure", "--set", "generalized",
-            "--dim", "4", "--sites", "2"]
+    argv = [sys.executable, "-m", "quditkit", "closure", *args]
     outputs = []
     for threads in ("1", None):
         env = dict(os.environ)
@@ -256,8 +266,22 @@ def test_report_independent_of_blas_threads():
         proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_report_independent_of_blas_threads():
+    # a named set, so the monomial engine decides it
+    outputs = _closure_reports_by_blas_threads("--set", "generalized", "--dim", "4", "--sites", "2")
     assert outputs[0] == outputs[1]
     assert b"achieved-dim: 255" in outputs[0]
+
+
+def test_dense_report_independent_of_blas_threads(tmp_path):
+    for i, m in enumerate(_random_pair(71, 6)):
+        save_matrix(tmp_path / f"m{i}.json", m)
+    outputs = _closure_reports_by_blas_threads("--input", str(tmp_path))
+    assert outputs[0] == outputs[1]
+    assert b"achieved-dim: 35" in outputs[0]
 
 
 def test_seeds_past_the_matrix_space_do_not_overflow():

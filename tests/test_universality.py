@@ -1,6 +1,9 @@
 """Closure engine: preprocessing, dimension counting, determinism, and the
 gate construction from arbitrary generators."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from quditkit import (
     is_universal,
     matrix_exp,
     max_abs,
+    named_generator_set,
     pauli,
     prepare_generators,
     qudit_universal_set,
@@ -26,6 +30,8 @@ from quditkit import (
     traceless_project,
     universal_augmentation,
 )
+from quditkit import cli
+from quditkit.universality import _dense_closure
 
 
 class TestTracelessProject:
@@ -186,6 +192,18 @@ class TestQuditUniversalDimensions:
         result = closure(gen)
         assert result.achieved_dim == dim == n * (2 * n + 1)
         assert result.universal == (n == 1)
+
+    @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21), (4, 36)])
+    def test_generalized_qubit_family_is_the_clifford_family(self, n, dim):
+        # The tau phase nu leaves about 5e-16 in m - m* for the Hermitian
+        # tau2; counted as a seed direction it used to give 15, 63 and 255.
+        gen = prepare_generators(named_generator_set("generalized", 2, n), REAL_ANTIHERMITIAN)
+        for engine in (closure, _dense_closure):
+            assert engine(gen).achieved_dim == dim == n * (2 * n + 1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["closure", "--set", "generalized", "--dim", "2", "--sites", str(n)])
+        assert f"achieved-dim: {dim}\n" in out.getvalue()
 
     @pytest.mark.parametrize(
         "l,n", [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (3, 2), (4, 2), (5, 2)]

@@ -42,6 +42,42 @@ def test_every_monomial_has_one_unit_coefficient(l):
             assert max_abs(table) <= 1e-14, (a, b)
 
 
+def _site_monomial(l, shifts, clocks):
+    out = np.ones((1, 1))
+    for a, b in zip(shifts, clocks):
+        out = np.kron(out, weyl_element(l, a, b))
+    return out
+
+
+@pytest.mark.parametrize("l,n", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 5), (3, 3)])
+def test_multi_site_decompose_matches_trace_products(l, n):
+    # entry (A, B) is Tr(W(x)* m) / l^n, A and B the base-l numbers of x's
+    # shift and clock powers, site 1 most significant
+    d = l**n
+    m = _complex_gaussian(np.random.default_rng(900 + d), d)
+    table = weyl_decompose(m, l, n)
+    digits = np.indices((l,) * n).reshape(n, -1).T
+    for big_a, shifts in enumerate(digits):
+        for big_b, clocks in enumerate(digits):
+            w = _site_monomial(l, shifts, clocks)
+            assert abs(table[big_a, big_b] - np.vdot(w, m) / d) <= 1e-13
+
+
+@pytest.mark.parametrize("l,n", [(2, 3), (3, 2), (5, 2)])
+def test_every_multi_site_monomial_has_one_unit_coefficient(l, n):
+    digits = np.indices((l,) * n).reshape(n, -1).T
+    rng = np.random.default_rng(l * n)
+    for big_a, big_b in rng.integers(0, l**n, size=(12, 2)):
+        table = weyl_decompose(_site_monomial(l, digits[big_a], digits[big_b]), l, n)
+        table[big_a, big_b] -= 1.0
+        assert max_abs(table) <= 1e-14
+
+
+def test_one_site_is_the_default():
+    m = _complex_gaussian(np.random.default_rng(5), 6)
+    assert np.array_equal(weyl_decompose(m, 6, 1), weyl_decompose(m, 6))
+
+
 _finite = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 _square = st.integers(2, 12).flatmap(lambda l: arrays(complex, (l, l), elements=_finite))
 _property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -78,6 +114,15 @@ class TestValidation:
     def test_order_below_two(self):
         with pytest.raises(ValueError):
             weyl_decompose(np.eye(1), 1)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5])
+    def test_site_count_below_one(self, n):
+        with pytest.raises(ValueError, match="site count"):
+            weyl_decompose(np.eye(4), 2, n)
+
+    def test_dimension_is_l_to_the_n(self):
+        with pytest.raises(ValueError, match="expected 8"):
+            weyl_decompose(np.eye(4), 2, 3)
 
     def test_non_square_table(self):
         with pytest.raises(ValueError, match="square"):
