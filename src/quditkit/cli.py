@@ -373,11 +373,14 @@ def cmd_decompose(args) -> int:
     pairs = [("report", "decompose"), ("l", str(l)),
              ("reconstruction-residual", format_float(residual))]
     lines = _render_pairs(pairs, args.format)
+    # relative to the largest coefficient, so rounding dust of a large-norm
+    # input is not printed as a coefficient
+    threshold = 1e-15 * max(1.0, max_abs(table))
     body: List[str] = []
     for a in range(l):
         for b in range(l):
             c = table[a, b]
-            if abs(c) > 1e-15:
+            if abs(c) > threshold:
                 body.append(
                     f"coefficient: a={a} b={b} re={format_float(c.real)} "
                     f"im={format_float(c.imag)}"

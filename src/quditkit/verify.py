@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import circuit, clifford, weyl
-from .linalg import max_abs
+from .linalg import _check_tolerance, max_abs
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification", "DEFAULT_DIMS", "DEFAULT_SITES"]
 
@@ -36,6 +36,11 @@ class VerifyCheck:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
+
+    @property
+    def headroom(self) -> float:
+        """``residual / tolerance``: the check passes while this is at most 1."""
+        return self.residual / self.tolerance
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,18 @@ def run_verification(
     sites: Sequence[int] = DEFAULT_SITES,
     tolerance: Optional[float] = None,
 ) -> VerifyReport:
-    """Run every identity suite over the size grid and collect the results."""
+    """Run every identity suite over the size grid and collect the results.
+
+    ``tolerance``, when given, replaces every check's own tolerance; it must
+    be finite and positive (:class:`ValueError` otherwise).
+    """
+    if tolerance is not None:
+        tolerance = float(tolerance)
+        _check_tolerance(tolerance)
     checks: List[VerifyCheck] = []
 
     def add(name: str, identity: str, params: str, residual: float, default_tol: float):
-        tol = default_tol if tolerance is None else float(tolerance)
+        tol = default_tol if tolerance is None else tolerance
         checks.append(VerifyCheck(name, identity, params, float(residual), tol))
 
     for l in dims:
@@ -176,15 +188,16 @@ def _single_system_checks(add, l: int) -> None:
     )
 
     # The commutators of one left monomial with all l^2 right ones form one
-    # (l^2, l, l) block; all l^4 at once would cost l^6 complex entries.
+    # (l^2, l, l) block, decomposed by one FFT call; all l^4 at once would
+    # cost l^6 complex entries.  Row q of the block's (l^2, l^2) table must
+    # hold the closed-form coefficient at the target code and zero elsewhere.
+    coefficients, targets = _closed_form_table(l)
+    right = np.arange(l * l)
     closed_form = 0.0
     for p, left in enumerate(monomials):
-        commutators = left @ monomials - monomials @ left
-        for q, brute in enumerate(commutators):
-            coeff, (ri, rj) = weyl.weyl_commutator_coefficient(l, divmod(p, l), divmod(q, l))
-            table = weyl.weyl_decompose(brute, l)
-            table[ri, rj] -= coeff
-            closed_form = max(closed_form, max_abs(table))
+        tables = weyl._decompose(left @ monomials - monomials @ left, l, 1).reshape(l * l, l * l)
+        tables[right, targets[p]] -= coefficients[p]
+        closed_form = max(closed_form, max_abs(tables))
     add(
         "commutator-closed-form",
         "[W(a,b), W(c,d)] = (zeta^(-bc) - zeta^(-ad)) W(a+c, b+d)",
@@ -223,6 +236,25 @@ def _single_system_checks(add, l: int) -> None:
         max_abs(f @ f.conj().T - eye),
         1e-12,
     )
+
+
+def _closed_form_table(l: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed form of every monomial commutator at order l, as two (l^2, l^2) arrays.
+
+    With codes p = a*l + b and q = c*l + d, ``[W(p), W(q)]`` is
+    ``coefficients[p, q]`` times the monomial with code ``targets[p, q]``,
+    the values :func:`weyl.weyl_commutator_coefficient` returns: the
+    coefficient is ``zeta^(-b*c) - zeta^(-a*d)``, taken from the same l
+    values of :meth:`weyl.RootOfUnity.zeta_power`.
+    """
+    root = weyl.RootOfUnity(l)
+    powers = np.array([root.zeta_power(k) for k in range(l)])
+    shifts, clocks = np.divmod(np.arange(l * l), l)
+    a, b = shifts[:, None], clocks[:, None]
+    c, d = shifts[None, :], clocks[None, :]
+    coefficients = powers[(-b * c) % l] - powers[(-a * d) % l]
+    targets = ((a + c) % l) * l + (b + d) % l
+    return coefficients, targets
 
 
 def _clifford_checks(add, n: int) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditkit import basis_state, max_abs, pauli
+from quditkit import basis_state, clock_matrix, max_abs, pauli, shift_matrix
 from quditkit.cli import main
 from quditkit.serialize import load_matrix, load_state, load_weyl_coefficients, save_matrix, save_state
 
@@ -264,6 +264,23 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "--input", str(source))
         assert code == 0
         assert "coefficient: a=0 b=0 re=1" in out
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            (1000 * clock_matrix(8), ["a=0 b=1 re=1000 "]),
+            (50 * (clock_matrix(7) + shift_matrix(7)), ["a=0 b=1 re=50 ", "a=1 b=0 re=50 "]),
+        ],
+    )
+    def test_large_norm_input_prints_no_rounding_dust(self, tmp_path, capsys, matrix, expected):
+        source = tmp_path / "m.json"
+        save_matrix(source, matrix)
+        code, out, _ = run(capsys, "decompose", "--input", str(source))
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("coefficient:")]
+        assert len(lines) == len(expected)
+        for line, prefix in zip(lines, expected):
+            assert line.startswith("coefficient: " + prefix)
 
     def test_dim_mismatch(self, tmp_path, capsys):
         source = tmp_path / "m.json"

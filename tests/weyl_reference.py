@@ -3,15 +3,17 @@
 ``reference_decompose`` takes one trace inner product per monomial and
 ``reference_reconstruct`` sums the weighted monomials one at a time.  Tests
 compare :func:`quditkit.weyl_decompose` and :func:`quditkit.weyl_reconstruct`
-against them; nothing in the package imports this module.
+against them.  ``reference_closed_form_residual`` is the per-commutator loop
+the ``commutator-closed-form`` verify check replaced with one decomposition
+per left monomial.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from quditkit.linalg import as_matrix, hs_inner
-from quditkit.weyl import _check_order, weyl_element
+from quditkit.linalg import as_matrix, hs_inner, max_abs
+from quditkit.weyl import _check_order, weyl_commutator_coefficient, weyl_decompose, weyl_element
 
 
 def reference_decompose(m, l: int) -> np.ndarray:
@@ -41,3 +43,18 @@ def reference_reconstruct(table) -> np.ndarray:
             if c != 0:
                 out += c * weyl_element(l, a, b)
     return out
+
+
+def reference_closed_form_residual(l: int) -> float:
+    """Max residual of the commutator closed form, one decomposition per commutator."""
+    # monomials[a * l + b] is W(a, b)
+    monomials = np.stack([weyl_element(l, a, b) for a in range(l) for b in range(l)])
+    closed_form = 0.0
+    for p, left in enumerate(monomials):
+        commutators = left @ monomials - monomials @ left
+        for q, brute in enumerate(commutators):
+            coeff, (ri, rj) = weyl_commutator_coefficient(l, divmod(p, l), divmod(q, l))
+            table = weyl_decompose(brute, l)
+            table[ri, rj] -= coeff
+            closed_form = max(closed_form, max_abs(table))
+    return closed_form
