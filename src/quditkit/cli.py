@@ -51,8 +51,9 @@ EXIT_USAGE = 2
 
 _ENV_TOLERANCE = "QUDITKIT_TOLERANCE"
 _DEFAULT_TOLERANCE = 1e-9
-# Closure bases can reach l^(2n) - 1 elements; dimensions past this cap need
-# an explicit override.
+# A dense closure basis can reach l^(2n) - 1 matrices of d^2 entries, and the
+# dense engine costs O(d^8) time; dimensions past this cap need an explicit
+# override.
 _DEFAULT_MAX_DIM = 32
 
 _EXTRA_SETS = ("weyl-pair", "tau", "qft")
@@ -349,6 +350,7 @@ def cmd_closure(args) -> int:
         basis_dir = Path(args.dump_basis)
         basis_dir.mkdir(parents=True, exist_ok=True)
         width = max(3, len(str(result.achieved_dim)))
+        # a monomial result builds each matrix as it is reached, so one is held at a time
         for i, b in enumerate(result.basis):
             save_matrix(basis_dir / f"basis-{i:0{width}d}.json", b)
     if args.expect_universal and not result.universal:

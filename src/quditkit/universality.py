@@ -12,16 +12,19 @@ decided by index arithmetic on the monomials instead (see :func:`closure`).
 
 from __future__ import annotations
 
+import copy
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 # closure does not call hs_norm; importing it keeps universality.hs_norm bound
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
-from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
-from .weyl import _decompose, _digits, _monomial_entries
+from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, orthonormal_extend
+from .weyl import _diagonal_coefficients, _digits, _monomial_entries, _wrapped_diagonals
 
 __all__ = [
     "REAL_ANTIHERMITIAN",
@@ -46,8 +49,13 @@ _ANTIHERMITIAN_TOL = 1e-11
 # Commutators screened per block; bounds the screening workspaces at a few
 # _SCREEN_ROWS x d^2 arrays whatever the basis size.
 _SCREEN_ROWS = 32
-# Seeds decomposed over the Weyl monomials per block, for the same reason.
+# Seeds decomposed over the Weyl monomials, and matrices checked anti-Hermitian,
+# per block, for the same reason.
 _SUPPORT_ROWS = 8
+# The support search skips a diagonal whose entries are all at most its
+# threshold times this; the margin is far above the FFT's rounding, so the
+# skip is exact in floating point too.
+_SKIP_MARGIN = 1 - 1e-12
 
 
 class NonConvergenceError(RuntimeError):
@@ -85,17 +93,36 @@ class GeneratorSet:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        for idx, m in enumerate(self.matrices):
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"matrix {idx} has shape {m.shape}, expected {(self.dim, self.dim)}"
-                )
-            if self.mode == REAL_ANTIHERMITIAN:
-                if max_abs(m + dagger(m)) > _ANTIHERMITIAN_TOL:
-                    raise ValueError(
-                        f"matrix {idx} is not anti-Hermitian; real mode requires "
-                        "preprocessed input (see prepare_generators)"
-                    )
+        shape = (self.dim, self.dim)
+        misshapen = next(
+            (idx for idx, m in enumerate(self.matrices) if m.shape != shape), len(self.matrices)
+        )
+        if self.mode == REAL_ANTIHERMITIAN:
+            # in blocks, which keeps the temporaries small
+            for start in range(0, misshapen, _SUPPORT_ROWS):
+                stop = min(misshapen, start + _SUPPORT_ROWS)
+                _check_antihermitian(self.matrices[start:stop], start)
+        if misshapen < len(self.matrices):
+            m = self.matrices[misshapen]
+            raise ValueError(f"matrix {misshapen} has shape {m.shape}, expected {shape}")
+
+
+def _check_antihermitian(matrices: Sequence[np.ndarray], offset: int) -> None:
+    """Raise for the first of ``matrices`` (numbered from ``offset``) that is
+    not finite or not anti-Hermitian, as a matrix-by-matrix check would."""
+    stack = np.stack(matrices)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    checked = len(stack) if finite.all() else int(np.argmin(finite))
+    skew = stack[:checked].transpose(0, 2, 1).conj()
+    skew += stack[:checked]
+    failed = np.flatnonzero(np.abs(skew).max(axis=(1, 2), initial=0.0) > _ANTIHERMITIAN_TOL)
+    if failed.size:
+        raise ValueError(
+            f"matrix {offset + failed[0]} is not anti-Hermitian; real mode requires "
+            "preprocessed input (see prepare_generators)"
+        )
+    if checked < len(stack):
+        as_matrix(stack[checked])  # raises its message for non-finite entries
 
 
 @dataclass(frozen=True)
@@ -103,12 +130,16 @@ class ClosureResult:
     """Outcome of a closure run; ``universal`` iff the full target dimension was reached.
 
     ``engine`` names the engine that ran, ``"monomial"`` or ``"dense"``
-    (see :func:`closure`).
+    (see :func:`closure`).  ``basis`` holds ``achieved_dim`` orthonormal
+    (d, d) matrices: a tuple from the dense engine; from the monomial
+    engine, a read-only :class:`~collections.abc.Sequence` (``len``,
+    indexing, slicing, iteration) that builds each matrix on request, so
+    the result costs O(d^2) memory at any dimension.
     """
 
     achieved_dim: int
     target_dim: int
-    basis: Tuple[np.ndarray, ...]
+    basis: Sequence[np.ndarray]
     rounds: int
     tolerance_used: float
     universal: bool
@@ -118,22 +149,47 @@ class ClosureResult:
 def prepare_generators(
     matrices: Iterable[np.ndarray], mode: str, name: str = ""
 ) -> GeneratorSet:
-    """Project inputs to traceless form and, in real mode, split them anti-Hermitian."""
-    mats = [as_matrix(m) for m in matrices]
+    """Project inputs to traceless form and, in real mode, split them anti-Hermitian.
+
+    The inputs are processed as one (k, d, d) stack with the elementwise
+    arithmetic of :func:`traceless_project` and :func:`hermitian_split`, so
+    the output equals theirs bit for bit; real mode puts each input's pair
+    in place of the input.
+    """
+    stack = _stack_inputs(matrices)
+    k, d = stack.shape[:2]
+    traces = np.trace(stack, axis1=1, axis2=2) / d
+    stack -= traces[:, None, None] * np.eye(d, dtype=complex)
+    if mode == REAL_ANTIHERMITIAN:
+        # written in place: temporaries of the whole stack cost more than the arithmetic
+        adjoint = stack.transpose(0, 2, 1).conj()
+        split = np.empty((k, 2, d, d), dtype=complex)
+        np.add(stack, adjoint, out=split[:, 0])
+        split[:, 0] *= 1j
+        np.subtract(stack, adjoint, out=split[:, 1])
+        stack = split.reshape(2 * k, d, d)
+    return GeneratorSet(name=name, dim=d, matrices=tuple(stack), mode=mode)
+
+
+def _stack_inputs(matrices: Iterable[np.ndarray]) -> np.ndarray:
+    """The inputs as one new complex (k, d, d) stack, under the checks of :func:`as_matrix`.
+
+    Well-formed inputs are checked at once.  Otherwise the checks run matrix
+    by matrix, so the error is the one the first malformed matrix raises.
+    """
+    arrays = [np.asarray(m, dtype=complex) for m in matrices]
+    if arrays and all(a.shape == arrays[0].shape for a in arrays):
+        stack = np.stack(arrays)
+        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] >= 1 and np.isfinite(stack).all():
+            return stack
+    mats = [as_matrix(m) for m in arrays]
     if not mats:
         raise ValueError("generator set is empty")
     dim = mats[0].shape[0]
     for idx, m in enumerate(mats):
         if m.shape[0] != dim:
             raise ValueError(f"matrix {idx} has dimension {m.shape[0]}, expected {dim}")
-    processed: List[np.ndarray] = []
-    for m in mats:
-        t = traceless_project(m)
-        if mode == REAL_ANTIHERMITIAN:
-            processed.extend(hermitian_split(t))
-        else:
-            processed.append(t)
-    return GeneratorSet(name=name, dim=dim, matrices=tuple(processed), mode=mode)
+    return np.stack(mats)
 
 
 def closure(
@@ -200,9 +256,10 @@ def closure(
     two anti-Hermitian combinations ``(W - W*)`` and ``i (W + W*)`` of
     ``W = W(x)`` for each pair {x, -x}, normalized, and the one nonzero
     combination ``(W - W*) + i (W + W*)`` when x = -x.  It spans the space
-    the dense engine's basis spans, but is a different basis of it.  A
-    sweep costs O(d^2) integer operations, O(d^4) for a universal set, and
-    the basis O(d^4) memory, as the dense engine's does.
+    the dense engine's basis spans, but is a different basis of it.  It is
+    not formed: :attr:`ClosureResult.basis` builds each element when asked
+    for it.  A sweep costs O(d^2) integer operations, O(d^4) for a
+    universal set, in O(d^2) memory.
 
     ``tol`` must be finite and positive (:class:`ValueError` otherwise).
     Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
@@ -213,7 +270,7 @@ def closure(
     found = _monomial_support(builder.elements(), gen_set.mode, tol)
     if found is None:
         return _dense_sweep(builder, max_rounds)
-    del builder  # frees the seeds before the monomial basis is built
+    del builder  # frees the seeds before the index search
     return _monomial_closure(*found, gen_set.mode, max_rounds, tol)
 
 
@@ -263,7 +320,7 @@ def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
             if builder.size == target:
                 break
         frontier_start = frontier_end
-    return _result(builder.elements().copy(), target, rounds, builder.tol, "dense")
+    return _result(tuple(builder.elements().copy()), target, rounds, builder.tol, "dense")
 
 
 def _non_convergence(max_rounds: int, size: int, target: int) -> NonConvergenceError:
@@ -273,11 +330,13 @@ def _non_convergence(max_rounds: int, size: int, target: int) -> NonConvergenceE
     )
 
 
-def _result(basis: np.ndarray, target: int, rounds: int, tol: float, engine: str) -> ClosureResult:
+def _result(
+    basis: Sequence[np.ndarray], target: int, rounds: int, tol: float, engine: str
+) -> ClosureResult:
     return ClosureResult(
         achieved_dim=len(basis),
         target_dim=target,
-        basis=tuple(basis),
+        basis=basis,
         rounds=rounds,
         tolerance_used=tol,
         universal=len(basis) == target,
@@ -318,18 +377,27 @@ def _monomial_support(
 def _first_reached(seeds: np.ndarray, l: int, n: int, tol: float) -> Optional[np.ndarray]:
     """The monomials the seeds have components along, in first-reach order.
 
-    None as soon as they outnumber the seeds.  The seeds are decomposed
-    ``_SUPPORT_ROWS`` at a time, which bounds the FFT workspace, and a dense
-    seed ends the search at its own block.
+    None as soon as they outnumber the seeds.  The seeds' wrapped diagonals
+    are gathered ``_SUPPORT_ROWS`` seeds at a time, which bounds the
+    workspace, and a dense seed ends the search at its own block.  Only
+    diagonals with an entry above the threshold are transformed: a
+    coefficient is a mean of its diagonal's entries times roots of unity,
+    so none of a skipped diagonal's can pass it.  A monomial seed has one
+    or two such diagonals of d.
     """
     d = seeds.shape[-1]
+    rows, cols = _wrapped_diagonals(l, n)
+    # A unit seed's component along W(x) has norm |coefficient| * sqrt(d).
+    floor = tol / np.sqrt(d)
     member = np.zeros(d * d, dtype=bool)
     blocks = []
     for start in range(0, len(seeds), _SUPPORT_ROWS):
-        table = _decompose(seeds[start:start + _SUPPORT_ROWS], l, n)
-        # A unit seed's component along W(x) has norm |coefficient| * sqrt(d).
-        # Flat indices run seed by seed, each seed's codes in increasing order.
-        met = np.flatnonzero(np.abs(table) > tol / np.sqrt(d)) % (d * d)
+        diagonals = seeds[start:start + _SUPPORT_ROWS, rows, cols].reshape(-1, d)
+        # Row s * d + A is diagonal A of seed s, so the codes met run seed by
+        # seed, each seed's in increasing order.
+        live = np.flatnonzero(np.abs(diagonals).max(axis=1) > floor * _SKIP_MARGIN)
+        row, clock = np.nonzero(np.abs(_diagonal_coefficients(diagonals[live], l, n)) > floor)
+        met = (live[row] % d) * d + clock
         _, first = np.unique(met, return_index=True)
         met = met[np.sort(first)]
         met = met[~member[met]]
@@ -376,8 +444,7 @@ def _monomial_closure(
             if size == target:
                 break
         frontier_start = frontier_end
-    basis = _monomial_basis(l, n, codes[:size], mode)
-    return _result(basis, target, rounds, tol, "monomial")
+    return _result(_MonomialBasis(l, n, codes[:size], mode), target, rounds, tol, "monomial")
 
 
 def _with_negations(new: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -395,32 +462,72 @@ def _with_negations(new: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return pairs[keep]
 
 
-def _monomial_basis(l: int, n: int, codes: np.ndarray, mode: str) -> np.ndarray:
-    """Orthonormal basis of the matrices of ``mode`` spanned by the monomials ``codes``.
+class _MonomialBasis(Sequence):
+    """The monomial engine's basis (see :func:`closure`), each element built on request.
 
-    Each element is ``a W + b W*`` for one monomial ``W``, written entry by
-    entry into one zeroed array, so building it takes no memory beyond the
-    basis itself.
+    ``codes`` (read-only) are the reached monomials in the order reached.
+    Element i is ``a W + b W*`` for one monomial ``W``, written into a new
+    (d, d) array each time it is indexed; a slice is a sequence of the same
+    kind.
+    """
+
+    def __init__(self, l: int, n: int, codes: np.ndarray, mode: str):
+        codes.setflags(write=False)
+        self.l, self.n, self.codes, self.mode = l, n, codes, mode
+        self._rows = range(len(codes))
+
+    @functools.cached_property
+    def _terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _monomial_terms(self.l, self.n, self.codes, self.mode)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = copy.copy(self)
+            part._rows = self._rows[index]
+            return part
+        i = self._rows[index]  # raises IndexError out of range, as a tuple does
+        lead, a, b = (t[i:i + 1] for t in self._terms)
+        return _monomial_matrices(self.l, self.n, lead, a, b)[0]
+
+    def __repr__(self) -> str:
+        return f"_MonomialBasis(l={self.l}, n={self.n}, mode={self.mode!r}, len={len(self)})"
+
+
+def _monomial_terms(
+    l: int, n: int, codes: np.ndarray, mode: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lead, a, b)``: the orthonormal basis element i of the matrices of ``mode``
+    spanned by the monomials ``codes`` is ``a[i] W + b[i] W*`` with ``W = W(lead[i])``.
     """
     d = l**n
     if mode == COMPLEX_TRACELESS:
-        lead, a, b = codes, np.full(len(codes), 1 / np.sqrt(d)), np.zeros(len(codes))
-    else:
-        # codes holds -x with every x; x leads its pair if it comes first
-        neg = _negated(l, n)
-        position = np.empty(d * d, dtype=np.intp)
-        position[codes] = np.arange(len(codes))
-        first = codes[position[codes] <= position[neg[codes]]]
-        paired = neg[first] != first
-        lead = np.repeat(first, 1 + paired)
-        second = np.zeros(len(lead), dtype=bool)
-        second[np.cumsum(1 + paired)[paired] - 1] = True
-        # W - W* and i (W + W*) for a pair {x, -x}; when x = -x, W* = +-W and
-        # their sum is the one nonzero combination
-        a = np.where(second, 1j, 1.0) / np.sqrt(2 * d)
-        b = np.where(second, 1j, -1.0) / np.sqrt(2 * d)
-        alone = ~np.repeat(paired, 1 + paired)
-        a[alone], b[alone] = (1 + 1j) / (2 * np.sqrt(d)), (1j - 1) / (2 * np.sqrt(d))
+        return codes, np.full(len(codes), 1 / np.sqrt(d)), np.zeros(len(codes))
+    # codes holds -x with every x; x leads its pair if it comes first
+    neg = _negated(l, n)
+    position = np.empty(d * d, dtype=np.intp)
+    position[codes] = np.arange(len(codes))
+    first = codes[position[codes] <= position[neg[codes]]]
+    paired = neg[first] != first
+    lead = np.repeat(first, 1 + paired)
+    second = np.zeros(len(lead), dtype=bool)
+    second[np.cumsum(1 + paired)[paired] - 1] = True
+    # W - W* and i (W + W*) for a pair {x, -x}; when x = -x, W* = +-W and
+    # their sum is the one nonzero combination
+    a = np.where(second, 1j, 1.0) / np.sqrt(2 * d)
+    b = np.where(second, 1j, -1.0) / np.sqrt(2 * d)
+    alone = ~np.repeat(paired, 1 + paired)
+    a[alone], b[alone] = (1 + 1j) / (2 * np.sqrt(d)), (1j - 1) / (2 * np.sqrt(d))
+    return lead, a, b
+
+
+def _monomial_matrices(
+    l: int, n: int, lead: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The (k, d, d) stack of ``a[i] W + b[i] W*`` with ``W = W(lead[i])``, entry by entry."""
+    d = l**n
     cols, values = _monomial_entries(l, n, lead)
     element, row = np.arange(len(lead))[:, None], np.arange(d)[None, :]
     basis = np.zeros((len(lead), d, d), dtype=complex)

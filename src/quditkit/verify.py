@@ -157,9 +157,12 @@ def _single_system_checks(add, l: int) -> None:
     scalar = 0.0
     for a, b in samples:
         residual_odd, residual_nu = weyl.scalar_factorization_residuals(l, a, b)
-        scalar = max(scalar, residual_nu)
+        # relative to the size of the terms: a^l + b^l of the (2, 1) sample
+        # grows as 2^l, and its rounding with it
+        scale = max(1.0, abs(a) ** l + abs(b) ** l)
+        scalar = max(scalar, residual_nu / scale)
         if residual_odd is not None:
-            scalar = max(scalar, residual_odd)
+            scalar = max(scalar, residual_odd / scale)
     add(
         "scalar-factorization",
         "a^l + b^l = prod_k (a - nu^(2k+1) b)",

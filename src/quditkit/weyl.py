@@ -179,14 +179,25 @@ def weyl_decompose(m, l: int, n: int = 1) -> np.ndarray:
 
 def _decompose(stack: np.ndarray, l: int, n: int) -> np.ndarray:
     """:func:`weyl_decompose` of each (d, d) matrix on the last two axes, unchecked."""
-    d = l**n
     rows, cols = _wrapped_diagonals(l, n)
-    table = stack[..., rows, cols].reshape(stack.shape[:-2] + (d,) + (l,) * n)
+    return _diagonal_coefficients(stack[..., rows, cols], l, n)
+
+
+def _diagonal_coefficients(diagonals: np.ndarray, l: int, n: int) -> np.ndarray:
+    """Monomial coefficients of wrapped diagonals, each of l^n entries on the last axis.
+
+    Diagonal A of a matrix, gathered as :func:`_wrapped_diagonals` orders it,
+    becomes row A of its :func:`weyl_decompose` table: the n-dimensional FFT
+    of the diagonal over d.  Each coefficient is thus the mean of the
+    diagonal's entries times roots of unity.
+    """
+    d = diagonals.shape[-1]
+    table = diagonals.reshape(diagonals.shape[:-1] + (l,) * n)
     # the n-dimensional FFT as n one-dimensional ones, which spares fftn's overhead
     for axis in range(-n, 0):
         table = np.fft.fft(table, axis=axis)
     table /= d
-    return table.reshape(stack.shape)
+    return table.reshape(diagonals.shape)
 
 
 def weyl_reconstruct(table) -> np.ndarray:

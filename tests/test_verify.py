@@ -19,6 +19,14 @@ def test_default_grid_passes():
     assert all(c.residual <= c.tolerance for c in report.checks)
 
 
+@pytest.mark.parametrize("l", range(2, 17))
+def test_single_site_passes_up_to_16(l):
+    # scalar-factorization's (2, 1) sample has a^l + b^l = 2^l + 1, and an
+    # absolute residual failed from l=11 on (3.9e-11 on 65537 at l=16)
+    report = run_verification(dims=(l,), sites=(1,))
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
 def test_covers_expected_suites():
     report = run_verification(dims=(2, 3), sites=(1, 2))
     names = {c.name for c in report.checks}
