@@ -306,10 +306,10 @@ def cmd_closure(args) -> int:
     if args.set_name == "qft":
         raise ValueError("closure needs a generator set, not a single gate")
     if args.set_name is not None:
-        dim = args.dim**args.sites
-        if dim > args.max_dim:
+        dim = _power_within(args.dim, args.sites, args.max_dim)
+        if dim is None:
             raise ValueError(
-                f"l^n = {dim} exceeds the cap {args.max_dim}; "
+                f"l^n = {_power_text(args.dim, args.sites)} exceeds the cap {args.max_dim}; "
                 "pass --max-dim to run larger closures"
             )
         if args.set_name == "qudit-universal" and args.dim == 2:
@@ -361,6 +361,24 @@ def cmd_closure(args) -> int:
         )
         return EXIT_FAIL
     return EXIT_OK
+
+
+def _power_within(l: int, n: int, cap: int) -> Optional[int]:
+    """``l**n`` if it is at most ``cap``, else None, found without forming a larger power."""
+    power = 1
+    for _ in range(n):
+        power *= l
+        if power > cap:
+            return None
+    return power
+
+
+def _power_text(l: int, n: int) -> str:
+    """``l**n`` in decimal, or ``"l^n"`` past 4300 digits, the most CPython
+    prints by default (``sys.int_info.default_max_str_digits``)."""
+    if n * math.log10(l) < 4300:
+        return str(l**n)
+    return f"{l}^{n}"
 
 
 def cmd_decompose(args) -> int:

@@ -3,11 +3,12 @@
 A set of matrices is universal when linear combinations and repeated
 commutators span the full traceless algebra: dimension d^2 - 1 over the
 reals for anti-Hermitian spans (the su(d) case) and over the complex
-numbers for unconstrained traceless spans (the sl(d, C) case).  Both modes
-run the same arithmetic: within the anti-Hermitian subspace, complex and
-real linear dependence coincide, so one orthonormalization kernel counts
-dimensions correctly for either field.  Sets spanned by Weyl monomials are
-decided by index arithmetic on the monomials instead (see :func:`closure`).
+numbers for unconstrained traceless spans (the sl(d, C) case).  Within the
+anti-Hermitian subspace, complex and real linear dependence coincide, so one
+orthonormalization scheme counts dimensions correctly for either field; real
+mode runs it in real arithmetic on d^2 real coordinates per matrix.  Sets
+spanned by Weyl monomials are decided by index arithmetic on the monomials
+instead (see :func:`closure`).
 """
 
 from __future__ import annotations
@@ -249,7 +250,12 @@ def closure(
     is the one a candidate-by-candidate sweep gives.  Screening is the
     dominant cost, O(d^8) for a universal set (O(d^4) candidates at O(d^4)
     each), run as BLAS block products over a fixed number of candidates at
-    a time.
+    a time.  In real mode every element is anti-Hermitian, so a commutator
+    ``[a, b] = ab - (ab)^H`` costs one complex product, and the screen and
+    admission run in real arithmetic on d^2 real coordinates per matrix,
+    which keep the trace inner product.  The basis matrices are decoded
+    from them, exactly anti-Hermitian: the Hermitian part of a seed, up to
+    the 1e-11 a hand-built :class:`GeneratorSet` may carry, is dropped.
 
     The monomial engine's basis is built from the reached monomials, in
     the order reached: ``W(x) / sqrt(d)`` in complex mode; in real mode the
@@ -293,7 +299,7 @@ def _seed(
     d = gen_set.dim
     if max_rounds is None:
         max_rounds = d * d + 1  # the target dimension + 2
-    builder = _BasisBuilder(d, tol)
+    builder = _BasisBuilder(d, tol, gen_set.mode == REAL_ANTIHERMITIAN)
     norms = [np.linalg.norm(m) for m in gen_set.matrices]
     floor = tol * max(norms)
     for m, norm in zip(gen_set.matrices, norms):
@@ -320,7 +326,7 @@ def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
             if builder.size == target:
                 break
         frontier_start = frontier_end
-    return _result(tuple(builder.elements().copy()), target, rounds, builder.tol, "dense")
+    return _result(builder.basis(), target, rounds, builder.tol, "dense")
 
 
 def _non_convergence(max_rounds: int, size: int, target: int) -> NonConvergenceError:
@@ -539,30 +545,52 @@ def _monomial_matrices(
 class _BasisBuilder:
     """The growing orthonormal basis of one closure run and its screening buffers.
 
-    The basis fills the leading rows of one (capacity, d, d) array that
-    doubles when full, up to d^2 rows, so its memory follows the achieved
-    dimension rather than d^2.  The buffers hold one block of
+    The basis fills the leading rows of one complex (capacity, d, d) array
+    that doubles when full, up to d^2 rows, so its memory follows the
+    achieved dimension rather than d^2.  The buffers hold one block of
     ``_SCREEN_ROWS`` commutators and are reused for every block; the first
     sweep allocates them, so seeding alone, all the monomial engine needs,
     does not.
+
+    In real mode (``real``) the sweeps run on d^2 real coordinates per
+    element (see :meth:`_encode`), held in a second, (capacity, d^2) float64
+    array.  The first sweep encodes the seeds; the elements admitted since
+    are decoded into the complex rows in one scatter when the next sweep
+    needs them, and all of them for the result, so every row multiplied or
+    returned is exactly anti-Hermitian.
     """
 
-    def __init__(self, d: int, tol: float):
+    def __init__(self, d: int, tol: float, real: bool):
         self.d = d
         self.tol = tol
+        self.real = real
         self.size = 0
         self.rows = np.empty((min(d * d, _SCREEN_ROWS), d, d), dtype=complex)
+        self.coords = None  # real mode: the coordinates, from the first sweep on
+        self.decoded = 0  # real mode: rows[:decoded] are decoded from coords
         self.comm = None  # the screening buffers, allocated by the first sweep
 
     def _allocate_screen(self) -> None:
         d = self.d
+        kind = float if self.real else complex
         self.comm = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
-        self.prod = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
-        self.resid = np.empty((_SCREEN_ROWS, d * d), dtype=complex)
-        self.coef = np.empty(_SCREEN_ROWS * d * d, dtype=complex)
+        # a block's commutators: their coordinates in real mode, else the matrices
+        self.cand = np.empty((_SCREEN_ROWS, d * d)) if self.real else self.comm.reshape(_SCREEN_ROWS, -1)
+        self.prod = np.empty((_SCREEN_ROWS, d * d), dtype=kind)
+        self.resid = np.empty((_SCREEN_ROWS, d * d), dtype=kind)
+        self.coef = np.empty(_SCREEN_ROWS * d * d, dtype=kind)
 
     def elements(self) -> np.ndarray:
         return self.rows[: self.size]
+
+    def basis(self) -> Tuple[np.ndarray, ...]:
+        """The basis matrices, each a new array."""
+        self._sync()
+        return tuple(self.elements().copy())
+
+    def _flat(self) -> np.ndarray:
+        """The rows the screen projects on: the coordinates in real mode, else the matrices."""
+        return self.rows.reshape(len(self.rows), -1) if self.coords is None else self.coords
 
     def offer(self, candidate: np.ndarray) -> None:
         """Add the part of ``candidate`` outside the span, if it is not negligible."""
@@ -571,13 +599,53 @@ class _BasisBuilder:
             self._append(res.new_element)
 
     def _append(self, element: np.ndarray) -> None:
-        if self.size == len(self.rows):
-            d = self.d
-            grown = np.empty((min(d * d, 2 * self.size), d, d), dtype=complex)
-            grown[: self.size] = self.elements()
-            self.rows = grown
-        self.rows[self.size] = element
+        if self.coords is None:
+            self.rows = _grown(self.rows, self.size, self.size + 1)
+        else:
+            self.coords = _grown(self.coords, self.size, self.size + 1)
+        self._flat()[self.size] = element.reshape(-1)
         self.size += 1
+
+    def _sync(self) -> None:
+        """In real mode, encode the seeds on the first call, then decode the
+        elements added since the last call into the complex rows."""
+        if not self.real:
+            return
+        d, size = self.d, self.size
+        if self.coords is None:
+            self.upper = np.triu(np.ones((d, d), dtype=bool), 1)
+            self.scale = np.where(np.eye(d, dtype=bool), 1.0, np.sqrt(2))
+            self.coords = np.empty((len(self.rows), d * d))
+            # A - A^H is 2A for an anti-Hermitian A, and twice the anti-Hermitian part of any A
+            self._encode(0.5 * self.elements(), self.coords[:size])
+        if self.decoded < size:
+            self.rows = _grown(self.rows, self.decoded, size)
+            self._decode(self.coords[self.decoded:size], self.rows[self.decoded:size])
+            self.decoded = size
+
+    def _encode(self, p: np.ndarray, out: np.ndarray) -> None:
+        """Write the coordinates of ``p[i] - p[i]^H`` to ``out[i]``, for a (m, d, d) stack ``p``.
+
+        The coordinates of an anti-Hermitian A are, as a d x d array read
+        row-major: ``Im A_jj`` at (j, j), and for j < k ``sqrt(2) Re A_jk``
+        at (j, k) and ``sqrt(2) Im A_jk`` at (k, j).  Their dot product is
+        Re Tr(A^H B), all of Tr(A^H B) for anti-Hermitian A and B.
+        """
+        out = out.reshape(p.shape)
+        re, im = p.real, p.imag
+        np.add(im, im.transpose(0, 2, 1), out=out)
+        np.copyto(out, re - re.transpose(0, 2, 1), where=self.upper)
+        out *= self.scale
+
+    def _decode(self, coords: np.ndarray, out: np.ndarray) -> None:
+        """Write the anti-Hermitian matrices with ``coords`` (see :meth:`_encode`) to ``out``."""
+        w = coords.reshape(out.shape) / self.scale
+        wt = w.transpose(0, 2, 1)
+        re, im = out.real, out.imag
+        np.multiply(w, self.upper, out=re)
+        np.negative(wt, out=re, where=self.upper.T)
+        np.copyto(im, w)
+        np.copyto(im, wt, where=self.upper)
 
     def sweep(self, i: int, frontier_start: int, target: int) -> None:
         """Add the new directions among the commutators of element ``i``; stop at ``target``.
@@ -597,6 +665,7 @@ class _BasisBuilder:
         """
         if self.comm is None:
             self._allocate_screen()
+        self._sync()
         n = self.size
         for lo, hi in ((0, frontier_start), (i + 1, n)):
             for start in range(lo, hi, _SCREEN_ROWS):
@@ -605,20 +674,23 @@ class _BasisBuilder:
 
     def _sweep_block(self, i: int, start: int, stop: int, target: int) -> bool:
         """Screen and admit ``[b_i, b_j]`` for ``start <= j < stop``; True once at ``target``."""
-        dd = self.d * self.d
-        comm = self.comm.reshape(_SCREEN_ROWS, dd)
         rows = stop - start
         a = self.rows[i]
         block = self.rows[start:stop]
+        comm = self.cand[:rows]
         np.matmul(a, block, out=self.comm[:rows])
-        np.matmul(block, a, out=self.prod[:rows])
-        comm[:rows] -= self.prod.reshape(_SCREEN_ROWS, dd)[:rows]
-        norms = _row_norms(comm[:rows])
+        if self.real:
+            # [a, b] = ab - (ab)^H for anti-Hermitian a and b
+            self._encode(self.comm[:rows], comm)
+        else:
+            np.matmul(block, a, out=self.prod.reshape(_SCREEN_ROWS, self.d, self.d)[:rows])
+            comm -= self.prod[:rows]
+        norms = _row_norms(comm)
         live = np.flatnonzero(norms > self.tol)
         if not live.size:
             return False
         k = self.size
-        flat = self.rows[:k].reshape(k, dd)
+        flat = self._flat()[:k]
         resid = self.resid[: live.size]
         np.take(comm, live, axis=0, out=resid)
         self._project(resid, flat)
@@ -638,12 +710,15 @@ class _BasisBuilder:
     def _project(self, resid: np.ndarray, flat: np.ndarray) -> None:
         """One block Gram-Schmidt pass: ``resid -= (resid B^H) B`` with B the rows of ``flat``."""
         m, k = len(resid), len(flat)
-        prod = self.prod.reshape(_SCREEN_ROWS, -1)[:m]
+        prod = self.prod[:m]
         coef = self.coef[: m * k].reshape(m, k)
-        # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
-        np.conjugate(resid, out=prod)
-        np.matmul(prod, flat.T, out=coef)
-        np.conjugate(coef, out=coef)
+        if self.real:
+            np.matmul(resid, flat.T, out=coef)
+        else:
+            # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
+            np.conjugate(resid, out=prod)
+            np.matmul(prod, flat.T, out=coef)
+            np.conjugate(coef, out=coef)
         np.matmul(coef, flat, out=prod)
         resid -= prod
 
@@ -654,16 +729,28 @@ class _BasisBuilder:
         ``k`` elements; two passes project it against those added since,
         and the test is the one :func:`orthonormal_extend` applies.
         """
-        added = self.rows[k:self.size].reshape(-1, self.d * self.d)
+        added = self._flat()[k:self.size]
         for _ in range(2):
             residual -= (added @ residual.conj()).conj() @ added
         rnorm = np.linalg.norm(residual)
         if rnorm > self.tol * norm:
-            self._append((residual / rnorm).reshape(self.d, self.d))
+            self._append(residual / rnorm)
+
+
+def _grown(array: np.ndarray, filled: int, needed: int) -> np.ndarray:
+    """``array`` if it has ``needed`` rows, else a copy of its first ``filled`` rows
+    with room for twice as many rows, or ``needed`` if more, but no more rows
+    than a row has entries: that many orthonormal rows span every row."""
+    if needed <= len(array):
+        return array
+    rows = min(array[0].size, max(needed, 2 * len(array)))
+    grown = np.empty((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[:filled] = array[:filled]
+    return grown
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each row of a C-contiguous complex array, without temporaries."""
+    """Frobenius norm of each row of a C-contiguous real or complex array, without temporaries."""
     parts = rows.view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 

@@ -13,11 +13,15 @@ are the references for the search that skips empty diagonals and for the
 lazy basis.  ``reference_prepare`` and ``reference_validate`` are
 :func:`quditkit.prepare_generators` and the :class:`quditkit.GeneratorSet`
 checks matrix by matrix, the references for the stacked ones.
+
+``complex_dense_closure`` is the batched dense engine with every sweep in
+complex arithmetic, two products per commutator and complex projections,
+the reference for the real-mode sweep on real coordinates.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +34,24 @@ from quditkit import (
     hermitian_split,
     traceless_project,
 )
-from quditkit.linalg import ExtendResult, as_matrix, dagger, hs_inner, hs_norm, max_abs
-from quditkit.universality import _ANTIHERMITIAN_TOL, _SUPPORT_ROWS, _negated
+from quditkit.linalg import (
+    ExtendResult,
+    _check_tolerance,
+    as_matrix,
+    dagger,
+    hs_inner,
+    hs_norm,
+    max_abs,
+    orthonormal_extend,
+)
+from quditkit.universality import (
+    _ANTIHERMITIAN_TOL,
+    _SCREEN_ROWS,
+    _SUPPORT_ROWS,
+    _negated,
+    _non_convergence,
+    _result,
+)
 from quditkit.weyl import _decompose, _monomial_entries
 
 
@@ -202,3 +222,189 @@ def reference_validate(dim: int, matrices: Sequence[np.ndarray], mode: str) -> N
                     f"matrix {idx} is not anti-Hermitian; real mode requires "
                     "preprocessed input (see prepare_generators)"
                 )
+
+
+# The dense engine in complex arithmetic in both modes, as it ran before real
+# mode moved to real coordinates: two complex products per commutator and
+# complex projections.
+
+
+def complex_dense_closure(
+    gen_set: GeneratorSet,
+    max_rounds: Optional[int] = None,
+    tol: float = 1e-9,
+) -> ClosureResult:
+    """``universality._dense_closure`` with every sweep in complex arithmetic."""
+    return _dense_sweep(*_seed(gen_set, max_rounds, tol))
+
+
+def _seed(
+    gen_set: GeneratorSet, max_rounds: Optional[int], tol: float
+) -> Tuple["ComplexBasisBuilder", int]:
+    """The basis builder holding the seeds, and the round cap."""
+    if not gen_set.matrices:
+        raise ValueError("generator set is empty")
+    _check_tolerance(tol)
+    d = gen_set.dim
+    if max_rounds is None:
+        max_rounds = d * d + 1  # the target dimension + 2
+    builder = ComplexBasisBuilder(d, tol)
+    norms = [np.linalg.norm(m) for m in gen_set.matrices]
+    floor = tol * max(norms)
+    for m, norm in zip(gen_set.matrices, norms):
+        # Traceless commutators never leave a (d^2 - 1)-dimensional space, but
+        # a GeneratorSet built by hand may also carry the identity direction.
+        if builder.size == d * d:
+            break  # the basis already spans every d x d matrix
+        if norm > floor:
+            builder.offer(m)
+    return builder, max_rounds
+
+
+def _dense_sweep(builder: "ComplexBasisBuilder", max_rounds: int) -> ClosureResult:
+    target = builder.d * builder.d - 1
+    rounds = 0
+    frontier_start = 0
+    while frontier_start < builder.size < target:
+        if rounds == max_rounds:
+            raise _non_convergence(max_rounds, builder.size, target)
+        rounds += 1
+        frontier_end = builder.size
+        for i in range(frontier_start, frontier_end):
+            builder.sweep(i, frontier_start, target)
+            if builder.size == target:
+                break
+        frontier_start = frontier_end
+    return _result(tuple(builder.elements().copy()), target, rounds, builder.tol, "dense")
+
+
+class ComplexBasisBuilder:
+    """The growing orthonormal basis of one closure run and its screening buffers.
+
+    The basis fills the leading rows of one (capacity, d, d) array that
+    doubles when full, up to d^2 rows, so its memory follows the achieved
+    dimension rather than d^2.  The buffers hold one block of
+    ``_SCREEN_ROWS`` commutators and are reused for every block; the first
+    sweep allocates them, so seeding alone, all the monomial engine needs,
+    does not.
+    """
+
+    def __init__(self, d: int, tol: float):
+        self.d = d
+        self.tol = tol
+        self.size = 0
+        self.rows = np.empty((min(d * d, _SCREEN_ROWS), d, d), dtype=complex)
+        self.comm = None  # the screening buffers, allocated by the first sweep
+
+    def _allocate_screen(self) -> None:
+        d = self.d
+        self.comm = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
+        self.prod = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
+        self.resid = np.empty((_SCREEN_ROWS, d * d), dtype=complex)
+        self.coef = np.empty(_SCREEN_ROWS * d * d, dtype=complex)
+
+    def elements(self) -> np.ndarray:
+        return self.rows[: self.size]
+
+    def offer(self, candidate: np.ndarray) -> None:
+        """Add the part of ``candidate`` outside the span, if it is not negligible."""
+        res = orthonormal_extend(self.elements(), candidate, tol=self.tol, normalizer=1.0)
+        if res.accepted:
+            self._append(res.new_element)
+
+    def _append(self, element: np.ndarray) -> None:
+        if self.size == len(self.rows):
+            d = self.d
+            grown = np.empty((min(d * d, 2 * self.size), d, d), dtype=complex)
+            grown[: self.size] = self.elements()
+            self.rows = grown
+        self.rows[self.size] = element
+        self.size += 1
+
+    def sweep(self, i: int, frontier_start: int, target: int) -> None:
+        """Add the new directions among the commutators of element ``i``; stop at ``target``.
+
+        Partners are the ``n`` elements present when the sweep starts, less
+        ``frontier_start..i``: ``[b_i, b_i] = 0``, and the frontier elements
+        before ``i`` were swept against a basis holding ``b_i``, so
+        ``[b_i, b_j] = -[b_j, b_i]`` is already in the span.  The partners
+        go in blocks of ``_SCREEN_ROWS``.  A block's commutators of norm at
+        most ``tol`` are dropped; one block Gram-Schmidt pass against the
+        basis rejects those whose residual is at most ``tol`` times their
+        norm, which one pass decides to O(eps) of that norm.  The survivors
+        get the second pass as one block product and are then admitted in
+        order by :meth:`admit`.  Screening one commutator against k basis
+        elements of d^2 entries costs O(k d^2), and a universal run screens
+        O(d^4) commutators against up to d^2 - 1 elements: O(d^8) overall.
+        """
+        if self.comm is None:
+            self._allocate_screen()
+        n = self.size
+        for lo, hi in ((0, frontier_start), (i + 1, n)):
+            for start in range(lo, hi, _SCREEN_ROWS):
+                if self._sweep_block(i, start, min(hi, start + _SCREEN_ROWS), target):
+                    return
+
+    def _sweep_block(self, i: int, start: int, stop: int, target: int) -> bool:
+        """Screen and admit ``[b_i, b_j]`` for ``start <= j < stop``; True once at ``target``."""
+        dd = self.d * self.d
+        comm = self.comm.reshape(_SCREEN_ROWS, dd)
+        rows = stop - start
+        a = self.rows[i]
+        block = self.rows[start:stop]
+        np.matmul(a, block, out=self.comm[:rows])
+        np.matmul(block, a, out=self.prod[:rows])
+        comm[:rows] -= self.prod.reshape(_SCREEN_ROWS, dd)[:rows]
+        norms = _row_norms(comm[:rows])
+        live = np.flatnonzero(norms > self.tol)
+        if not live.size:
+            return False
+        k = self.size
+        flat = self.rows[:k].reshape(k, dd)
+        resid = self.resid[: live.size]
+        np.take(comm, live, axis=0, out=resid)
+        self._project(resid, flat)
+        norms = norms[live]
+        keep = np.flatnonzero(_row_norms(resid) > self.tol * norms)
+        if not keep.size:
+            return False
+        survivors = self.resid[: keep.size]
+        survivors[:] = resid[keep]
+        self._project(survivors, flat)
+        for s, norm in zip(survivors, norms[keep]):
+            self.admit(s, norm, k)
+            if self.size == target:
+                return True
+        return False
+
+    def _project(self, resid: np.ndarray, flat: np.ndarray) -> None:
+        """One block Gram-Schmidt pass: ``resid -= (resid B^H) B`` with B the rows of ``flat``."""
+        m, k = len(resid), len(flat)
+        prod = self.prod.reshape(_SCREEN_ROWS, -1)[:m]
+        coef = self.coef[: m * k].reshape(m, k)
+        # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
+        np.conjugate(resid, out=prod)
+        np.matmul(prod, flat.T, out=coef)
+        np.conjugate(coef, out=coef)
+        np.matmul(coef, flat, out=prod)
+        resid -= prod
+
+    def admit(self, residual: np.ndarray, norm: float, k: int) -> None:
+        """Add a screened commutator if its residual exceeds ``tol * norm``.
+
+        ``residual`` (flat, overwritten) is already orthogonal to the first
+        ``k`` elements; two passes project it against those added since,
+        and the test is the one :func:`orthonormal_extend` applies.
+        """
+        added = self.rows[k:self.size].reshape(-1, self.d * self.d)
+        for _ in range(2):
+            residual -= (added @ residual.conj()).conj() @ added
+        rnorm = np.linalg.norm(residual)
+        if rnorm > self.tol * norm:
+            self._append((residual / rnorm).reshape(self.d, self.d))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row of a C-contiguous complex array, without temporaries."""
+    parts = rows.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,29 @@ class TestClosure:
         )
         assert code == 2
         assert "exceeds the cap" in err
+
+    def test_dimension_cap_message(self, capsys):
+        code, _, err = run(
+            capsys, "closure", "--set", "qudit-universal", "--dim", "3",
+            "--sites", "4", "--max-dim", "80",
+        )
+        assert code == 2
+        assert err == "error: l^n = 81 exceeds the cap 80; pass --max-dim to run larger closures\n"
+
+    def test_dimension_cap_without_forming_the_power(self):
+        # 3^100000000 would take far longer than the bound to form
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "quditkit", "closure", "--set", "clifford",
+                "--dim", "3", "--sites", "100000000"]
+        start = time.perf_counter()
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: l^n = 3^100000000 exceeds the cap 32; pass --max-dim to run larger closures\n"
+        )
 
     def test_two_site_qudit_set(self, capsys):
         code, out, _ = run(

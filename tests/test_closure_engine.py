@@ -168,6 +168,8 @@ class TestScreen:
         result = closure(gen)
         assert result.achieved_dim == 71
         assert len(calls) <= len(gen.matrices) + 2 * result.achieved_dim
+        # every element past the seeds came through admit, in real mode too
+        assert len(calls) >= result.achieved_dim
 
 
 class TestExtendAgainstReference:
@@ -282,6 +284,15 @@ def test_dense_report_independent_of_blas_threads(tmp_path):
     outputs = _closure_reports_by_blas_threads("--input", str(tmp_path))
     assert outputs[0] == outputs[1]
     assert b"achieved-dim: 35" in outputs[0]
+
+
+def test_screen_heavy_dense_report_independent_of_blas_threads(tmp_path):
+    # the real-mode 6+6 block pair: the screen rejects nearly every commutator
+    for i, m in enumerate(_block_pair(43, 6, 6)):
+        save_matrix(tmp_path / f"m{i}.json", m)
+    outputs = _closure_reports_by_blas_threads("--input", str(tmp_path))
+    assert outputs[0] == outputs[1]
+    assert b"achieved-dim: 71" in outputs[0]
 
 
 def test_seeds_past_the_matrix_space_do_not_overflow():
