@@ -135,7 +135,12 @@ class ClosureResult:
     (d, d) matrices: a tuple from the dense engine; from the monomial
     engine, a read-only :class:`~collections.abc.Sequence` (``len``,
     indexing, slicing, iteration) that builds each matrix on request, so
-    the result costs O(d^2) memory at any dimension.
+    the result costs O(d^2) memory at any dimension.  A monomial basis is
+    orthonormal to rounding.  A dense basis is orthonormal to the accuracy
+    of its Gram-Schmidt steps: ``max |F^H F - I|`` over the flattened
+    basis F is at most 2.1e-14 on the named sets with d <= 16, but an
+    element admitted with a small relative residual keeps less: 3.9e-11 on
+    a real-mode block pair of su(5) + su(6) in the tests.
     """
 
     achieved_dim: int
@@ -200,25 +205,38 @@ def closure(
 ) -> ClosureResult:
     """Grow an orthonormal basis of the Lie algebra generated by the set.
 
-    The inputs seed the basis through :func:`orthonormal_extend` (raw trace
-    inner product, so duplicates and dependent directions drop out).  An
-    input whose norm is at most ``tol`` times the largest input norm is
-    treated as zero, as a commutator of norm at most ``tol`` is: rounding
-    dust such as ``m - m*`` of a Hermitian ``m`` would otherwise pass the
-    relative test and count as a direction.
+    The inputs are the seeds.  An input whose norm is at most ``tol`` times
+    the largest input norm is treated as zero, as a commutator of norm at
+    most ``tol`` is: rounding dust such as ``m - m*`` of a Hermitian ``m``
+    would otherwise pass the relative test and count as a direction.
 
-    The seeds are then decomposed over the Weyl monomials ``W(x)``,
-    x in Z_l^(2n), of each factorization d = l^n (smallest l first; see
-    :mod:`quditkit.weyl`).  Their support S0 is the set of monomials on
-    which some seed has a component of norm above ``tol``.  When S0 has
-    exactly as many monomials as the seeds have rank, leaves out the
-    identity and, in real mode, holds ``-x`` with every ``x``, the seeds
-    span every matrix of the mode supported on S0.  Since
-    ``[W(x), W(y)]`` is a nonzero multiple of ``W(x + y)`` exactly when
-    the symplectic form of x and y is nonzero mod l, the closure is then
-    decided on integer codes (the ``"monomial"`` engine); otherwise the
-    dense sweep below runs (the ``"dense"`` engine).  The input decides;
-    :attr:`ClosureResult.engine` reports which ran.
+    The engine is chosen from the Weyl coefficients of the seeds, each
+    divided by its norm, over the monomials ``W(x)``, x in Z_l^(2n), of
+    each factorization d = l^n (smallest l first; see :mod:`quditkit.weyl`).
+    A seed reaches W(x) when its component along W(x) has norm above
+    ``tol``; the support S0 is every monomial some seed reaches.  The seeds
+    span every matrix of the mode supported on S0 when S0 leaves out the
+    identity, holds ``-x`` with every x in real mode, and their
+    coefficients on S0 have rank |S0| (the |S0|-th singular value exceeds
+    ``tol``; the decomposition is an isometry, so this is their rank as
+    matrices).  Each seed must also lie within ``tol`` in norm of the span
+    of the monomials it reaches: a part spread over several monomials, each
+    component below ``tol``, can exceed it.  Since ``[W(x), W(y)]`` is a
+    nonzero multiple of ``W(x + y)`` exactly when the symplectic form of x
+    and y is nonzero mod l, the closure is then decided on integer codes
+    (the ``"monomial"`` engine).  Otherwise the seeds are orthonormalized
+    through :func:`orthonormal_extend` (raw trace inner product, so
+    duplicates and dependent directions drop out) and the dense sweep below
+    runs (the ``"dense"`` engine).  :attr:`ClosureResult.engine` reports
+    which ran.
+
+    Orthonormalized seeds would give the same choice in exact arithmetic:
+    seed i reaches new monomials only through its part outside the span of
+    the seeds before it, so the reach order is the same too.  The two can
+    differ only at the edge of ``tol`` and for nearly dependent seeds,
+    whose small Gram-Schmidt residual magnifies rounding into components
+    above ``tol``: two seeds spanning W(x) and W(y) that differ by 1e-8
+    went to the dense engine that way.
 
     Both engines run the same schedule.  Each round sweeps every element
     added in the previous round (the frontier), in order, against the
@@ -272,11 +290,10 @@ def closure(
     with growth still pending (default cap: target dimension + 2, which an
     honestly converging run can never hit).
     """
-    builder, max_rounds = _seed(gen_set, max_rounds, tol)
-    found = _monomial_support(builder.elements(), gen_set.mode, tol)
+    max_rounds = _round_cap(gen_set, max_rounds, tol)
+    found = _monomial_support(gen_set, tol)
     if found is None:
-        return _dense_sweep(builder, max_rounds)
-    del builder  # frees the seeds before the index search
+        return _dense_sweep(*_seed(gen_set, max_rounds, tol))
     return _monomial_closure(*found, gen_set.mode, max_rounds, tol)
 
 
@@ -293,12 +310,8 @@ def _seed(
     gen_set: GeneratorSet, max_rounds: Optional[int], tol: float
 ) -> Tuple["_BasisBuilder", int]:
     """The basis builder holding the seeds, and the round cap."""
-    if not gen_set.matrices:
-        raise ValueError("generator set is empty")
-    _check_tolerance(tol)
+    max_rounds = _round_cap(gen_set, max_rounds, tol)
     d = gen_set.dim
-    if max_rounds is None:
-        max_rounds = d * d + 1  # the target dimension + 2
     builder = _BasisBuilder(d, tol, gen_set.mode == REAL_ANTIHERMITIAN)
     norms = [np.linalg.norm(m) for m in gen_set.matrices]
     floor = tol * max(norms)
@@ -310,6 +323,15 @@ def _seed(
         if norm > floor:
             builder.offer(m)
     return builder, max_rounds
+
+
+def _round_cap(gen_set: GeneratorSet, max_rounds: Optional[int], tol: float) -> int:
+    """The round cap, after the checks every closure makes, in order."""
+    if not gen_set.matrices:
+        raise ValueError("generator set is empty")
+    _check_tolerance(tol)
+    d = gen_set.dim
+    return d * d + 1 if max_rounds is None else max_rounds  # default: the target dimension + 2
 
 
 def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
@@ -361,57 +383,111 @@ def _negated(l: int, n: int) -> np.ndarray:
     return ((-_digits(l, 2 * n)) % l) @ (l ** np.arange(2 * n - 1, -1, -1))
 
 
-def _monomial_support(
-    seeds: np.ndarray, mode: str, tol: float
-) -> Optional[Tuple[int, int, np.ndarray]]:
-    """``(l, n, codes)`` when the orthonormal seeds span all of their monomial support.
+def _monomial_support(gen_set: GeneratorSet, tol: float) -> Optional[Tuple[int, int, np.ndarray]]:
+    """``(l, n, codes)`` when the seeds span all of their monomial support S0.
 
-    ``codes`` lists the support in the order the seeds first reach it, each
-    seed's monomials by increasing code.  None when no factorization of d
+    ``codes`` lists S0 in the order the seeds first reach it, each seed's
+    monomials by increasing code.  None when no factorization of d
     qualifies (see :func:`closure`).
     """
-    for l, n in _factorizations(seeds.shape[-1]):
-        codes = _first_reached(seeds, l, n, tol)
-        if codes is None or 0 in codes:
+    norms = np.sqrt([np.vdot(m, m).real for m in gen_set.matrices])
+    kept = norms > tol * norms.max()
+    seeds = [m for m, keep in zip(gen_set.matrices, kept) if keep]
+    for l, n in _factorizations(gen_set.dim):
+        found = _first_reached(seeds, norms[kept], l, n, tol)
+        if found is None:
             continue
-        if mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
+        codes, coefficients, outside = found
+        if 0 in codes or (outside > tol).any():
+            continue
+        if gen_set.mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
+            continue
+        if not _spans_every_column(coefficients, tol):
             continue
         return l, n, codes
     return None
 
 
-def _first_reached(seeds: np.ndarray, l: int, n: int, tol: float) -> Optional[np.ndarray]:
-    """The monomials the seeds have components along, in first-reach order.
+def _spans_every_column(rows: np.ndarray, tol: float) -> bool:
+    """Whether the (k, m) ``rows``, k >= m, have m singular values above ``tol``.
 
-    None as soon as they outnumber the seeds.  The seeds' wrapped diagonals
-    are gathered ``_SUPPORT_ROWS`` seeds at a time, which bounds the
-    workspace, and a dense seed ends the search at its own block.  Only
-    diagonals with an entry above the threshold are transformed: a
-    coefficient is a mean of its diagonal's entries times roots of unity,
-    so none of a skipped diagonal's can pass it.  A monomial seed has one
-    or two such diagonals of d.
+    Nearly orthogonal columns, as monomial seeds have, are certified by a
+    Gershgorin bound on the least eigenvalue of ``rows^H rows`` kept well
+    above ``tol^2`` and rounding, which spares an SVD.
     """
-    d = seeds.shape[-1]
+    gram = rows.conj().T @ rows
+    bound = np.min(2 * gram.diagonal().real - np.abs(gram).sum(axis=1), initial=np.inf)
+    if bound > max(2 * tol**2, 1e-6):
+        return True
+    return bool(np.linalg.svd(rows, compute_uv=False)[-1] > tol)
+
+
+def _first_reached(
+    seeds: Sequence[np.ndarray], norms: np.ndarray, l: int, n: int, tol: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(codes, coefficients, outside)``: the seeds over the monomials they reach.
+
+    A seed reaches W(x) when its component along W(x) has norm above
+    ``tol`` times its norm (``norms``).  ``codes`` lists the reached
+    monomials in first-reach order.  Row i of ``coefficients`` holds the
+    unit seed ``seeds[i] / norms[i]`` along each ``W(x) / sqrt(d)``, zero
+    where it does not reach x; ``outside[i]`` is the norm of the unit
+    seed's part off the monomials it reaches, summed from that part's own
+    entries and coefficients.  None as soon as the codes outnumber the seeds.
+
+    The seeds' wrapped diagonals are gathered ``_SUPPORT_ROWS`` seeds at a
+    time, which bounds the workspace, and a dense seed ends the search at
+    its own block.  Only diagonals with an entry above the threshold are
+    transformed: a coefficient is a mean of its diagonal's entries times
+    roots of unity, so none of a skipped diagonal's can pass it.  A
+    monomial seed has one or two such diagonals of d.
+    """
+    k, d = len(seeds), l**n
     rows, cols = _wrapped_diagonals(l, n)
-    # A unit seed's component along W(x) has norm |coefficient| * sqrt(d).
-    floor = tol / np.sqrt(d)
+    flat = rows * d + cols  # the same entries, as indices into a flattened matrix
+    gathered = np.empty((min(k, _SUPPORT_ROWS), d, d), dtype=complex)
     member = np.zeros(d * d, dtype=bool)
-    blocks = []
-    for start in range(0, len(seeds), _SUPPORT_ROWS):
-        diagonals = seeds[start:start + _SUPPORT_ROWS, rows, cols].reshape(-1, d)
+    blocks, entries = [], []
+    outside = np.zeros(k)
+    for start in range(0, k, _SUPPORT_ROWS):
+        stop = min(k, start + _SUPPORT_ROWS)
+        for m, out in zip(seeds[start:stop], gathered):
+            np.take(m.reshape(-1).astype(complex, copy=False), flat, out=out)
+        diagonals = gathered[:stop - start].reshape(-1, d)
         # Row s * d + A is diagonal A of seed s, so the codes met run seed by
-        # seed, each seed's in increasing order.
-        live = np.flatnonzero(np.abs(diagonals).max(axis=1) > floor * _SKIP_MARGIN)
-        row, clock = np.nonzero(np.abs(_diagonal_coefficients(diagonals[live], l, n)) > floor)
-        met = (live[row] % d) * d + clock
+        # seed, each seed's in increasing order.  A component along W(x) has
+        # norm |coefficient| * sqrt(d).
+        norm = np.repeat(norms[start:stop], d)
+        floor = norm * (tol / np.sqrt(d))
+        magnitude = np.abs(diagonals)
+        live = magnitude.max(axis=1) > floor * _SKIP_MARGIN
+        # each diagonal's power off the reached monomials: all of a skipped one's
+        power = np.einsum("ij,ij->i", magnitude, magnitude)
+        table = _diagonal_coefficients(diagonals[live], l, n)
+        magnitude = np.abs(table)
+        above = magnitude > floor[live, None]
+        magnitude[above] = 0.0
+        power[live] = d * np.einsum("ij,ij->i", magnitude, magnitude)
+        outside[start:stop] = np.sqrt(power.reshape(-1, d).sum(axis=1)) / norms[start:stop]
+        live = np.flatnonzero(live)
+        row, clock = np.nonzero(above)
+        diagonal = live[row]
+        met = (diagonal % d) * d + clock
+        entries.append((start + diagonal // d, met, table[row, clock] * (np.sqrt(d) / norm[diagonal])))
         _, first = np.unique(met, return_index=True)
         met = met[np.sort(first)]
         met = met[~member[met]]
         member[met] = True
         blocks.append(met)
-        if np.count_nonzero(member) > len(seeds):
+        if np.count_nonzero(member) > k:
             return None
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+    codes = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+    column = np.empty(d * d, dtype=np.intp)
+    column[codes] = np.arange(len(codes))
+    coefficients = np.zeros((k, len(codes)), dtype=complex)
+    for seed, met, values in entries:
+        coefficients[seed, column[met]] = values
+    return codes, coefficients, outside
 
 
 def _monomial_closure(
@@ -549,8 +625,7 @@ class _BasisBuilder:
     that doubles when full, up to d^2 rows, so its memory follows the
     achieved dimension rather than d^2.  The buffers hold one block of
     ``_SCREEN_ROWS`` commutators and are reused for every block; the first
-    sweep allocates them, so seeding alone, all the monomial engine needs,
-    does not.
+    sweep allocates them, so seeding alone does not.
 
     In real mode (``real``) the sweeps run on d^2 real coordinates per
     element (see :meth:`_encode`), held in a second, (capacity, d^2) float64

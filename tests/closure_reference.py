@@ -10,7 +10,10 @@ imports this module.
 support search, which Fourier transforms every wrapped diagonal, and its
 eager basis builder, which forms the whole (k, d, d) basis at once; they
 are the references for the search that skips empty diagonals and for the
-lazy basis.  ``reference_prepare`` and ``reference_validate`` are
+lazy basis.  ``reference_routed_closure`` is :func:`quditkit.closure` as
+it chose its engine from the seeds after Gram-Schmidt, the reference for
+the choice from the raw seeds' Weyl coefficients (``seed_coefficients``).
+``reference_prepare`` and ``reference_validate`` are
 :func:`quditkit.prepare_generators` and the :class:`quditkit.GeneratorSet`
 checks matrix by matrix, the references for the stacked ones.
 
@@ -44,6 +47,7 @@ from quditkit.linalg import (
     max_abs,
     orthonormal_extend,
 )
+from quditkit import universality
 from quditkit.universality import (
     _ANTIHERMITIAN_TOL,
     _SCREEN_ROWS,
@@ -154,6 +158,56 @@ def _first_reached(seeds: np.ndarray, l: int, n: int, tol: float) -> Optional[np
         if np.count_nonzero(member) > len(seeds):
             return None
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+
+
+def seed_coefficients(
+    seeds: Sequence[np.ndarray], norms: np.ndarray, l: int, n: int, tol: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``universality._first_reached`` from the full decomposition of each unit seed."""
+    d = l**n
+    units = np.stack([m / norm for m, norm in zip(seeds, norms)]) if len(seeds) else np.zeros((0, d, d))
+    codes = _first_reached(units, l, n, tol)
+    if codes is None:
+        return None
+    table = _decompose(units, l, n).reshape(len(units), -1)
+    reached = np.abs(table) > tol / np.sqrt(d)
+    components = table * np.sqrt(d)  # along W(x) / sqrt(d), an orthonormal basis
+    outside = np.sqrt(np.sum(np.abs(np.where(reached, 0, components)) ** 2, axis=1))
+    return codes, np.where(reached, components, 0)[:, codes], outside
+
+
+def reference_routed_closure(
+    gen_set: GeneratorSet,
+    max_rounds: Optional[int] = None,
+    tol: float = 1e-9,
+) -> ClosureResult:
+    """:func:`quditkit.closure` seeding the dense engine's basis first and
+    searching the support of the orthonormal seeds."""
+    builder, max_rounds = universality._seed(gen_set, max_rounds, tol)
+    found = _orthonormal_support(builder.elements(), gen_set.mode, tol)
+    if found is None:
+        return universality._dense_sweep(builder, max_rounds)
+    del builder  # frees the seeds before the index search
+    return universality._monomial_closure(*found, gen_set.mode, max_rounds, tol)
+
+
+def _orthonormal_support(
+    seeds: np.ndarray, mode: str, tol: float
+) -> Optional[Tuple[int, int, np.ndarray]]:
+    """``(l, n, codes)`` when the orthonormal seeds span all of their monomial support.
+
+    ``codes`` lists the support in the order the seeds first reach it, each
+    seed's monomials by increasing code.  None when no factorization of d
+    qualifies.
+    """
+    for l, n in universality._factorizations(seeds.shape[-1]):
+        codes = _first_reached(seeds, l, n, tol)
+        if codes is None or 0 in codes:
+            continue
+        if mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
+            continue
+        return l, n, codes
+    return None
 
 
 def _monomial_basis(l: int, n: int, codes: np.ndarray, mode: str) -> np.ndarray:

@@ -131,6 +131,35 @@ class TestSelection:
         result = closure(GeneratorSet("", 3, mats, REAL_ANTIHERMITIAN), tol=1e-12)
         assert result.engine == "dense"
 
+    @pytest.mark.parametrize("size,real,complex_", [
+        (5e-10, ("monomial", 2), ("monomial", 1)),
+        (8e-10, ("dense", 8), ("dense", 8)),
+        (2e-9, ("dense", 8), ("dense", 8)),
+    ])
+    def test_outside_norm_of_a_seed(self, size, real, complex_):
+        # The second seed's part off W(1) is spread over W(5) and W(7), each
+        # component below tol, but its norm sqrt(2) * size exceeds tol at
+        # 8e-10: the seed is not a combination of the monomials it reaches.
+        l, n = 3, 1
+        mats = [_monomial(l, n, 1), _monomial(l, n, 1) + size * (_monomial(l, n, 5) + _monomial(l, n, 7))]
+        for mode, expected in ((REAL_ANTIHERMITIAN, real), (COMPLEX_TRACELESS, complex_)):
+            result = closure(prepare_generators(mats, mode))
+            assert (result.engine, result.achieved_dim) == expected, mode
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nearly_dependent_seeds_keep_the_monomial_engine(self, mode):
+        # The seeds span W(10) and W(41) exactly; the second differs from the
+        # first by 1e-8 relative.  Orthonormalizing them first magnified the
+        # rounding of that difference by about 1e8, into components above
+        # tol, and sent the set to the dense engine, which reported 80
+        # (universal).  Their Weyl coefficients have rank 2 on {10, 41}.
+        l, n = 3, 2
+        mats = [_monomial(l, n, 10) + _monomial(l, n, 41),
+                _monomial(l, n, 10) + (1 + 1e-8) * _monomial(l, n, 41)]
+        result = closure(prepare_generators(mats, mode))
+        assert (result.engine, result.achieved_dim) == ("monomial", 8)
+        assert result.achieved_dim == closure(prepare_generators(mats[:1] + [_monomial(l, n, 41)], mode)).achieved_dim
+
     def test_identity_direction_runs_dense(self):
         # A hand-built set may carry the identity, which the monomial engine leaves out.
         gen = GeneratorSet("", 2, (np.eye(2, dtype=complex), weyl_element(2, 1, 0)), COMPLEX_TRACELESS)

@@ -1,8 +1,9 @@
 """The monomial engine's fast paths against the slow references they replace:
 the lazy basis against the eager builder, the support search that skips
-empty diagonals against the one that transforms every diagonal, and the
-stacked preprocessing against the per-matrix one; plus the CLI paths that
-rely on the lazy basis."""
+empty diagonals against the one that transforms every diagonal, the engine
+chosen from the raw seeds' Weyl coefficients against the one chosen after
+Gram-Schmidt, and the stacked preprocessing against the per-matrix one;
+plus the CLI paths that rely on the lazy basis."""
 
 import os
 import subprocess
@@ -16,21 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_reference
-from closure_reference import reference_prepare, reference_validate
+from closure_reference import reference_prepare, reference_routed_closure, reference_validate
 from quditkit import (
+    COMPLEX_TRACELESS,
     GENERATOR_SET_NAMES,
     MODES,
     REAL_ANTIHERMITIAN,
     GeneratorSet,
     closure,
+    max_abs,
     named_generator_set,
     prepare_generators,
     qudit_universal_set,
 )
 from quditkit import cli
 from quditkit.serialize import load_matrix
-from quditkit.universality import _factorizations, _first_reached, _seed
-from test_closure_engine import ACCEPTANCE_SETS, _random_pair
+from quditkit.universality import _factorizations, _first_reached, _seed, _spans_every_column
+from test_closure_engine import ACCEPTANCE_SETS, _block_pair, _complex_gaussian, _random_pair
 from test_monomial_engine import NAMED_GRID, _QUBIT_ONLY, _monomial, monomial_sets
 
 _property = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -118,13 +121,22 @@ class TestLazyBasis:
 
 
 def _assert_same_support(gen, tol=1e-9):
-    seeds = _seed(gen, None, tol)[0].elements()
-    for l, n in _factorizations(gen.dim):
-        new = _first_reached(seeds, l, n, tol)
-        ref = closure_reference._first_reached(seeds, l, n, tol)
-        assert (new is None) == (ref is None), (l, n)
-        if ref is not None:
-            assert np.array_equal(new, ref), (l, n)
+    # on the orthonormal seeds of the dense engine, and on the raw seeds
+    orthonormal = _seed(gen, None, tol)[0].elements()
+    norms = np.array([np.linalg.norm(m) for m in gen.matrices])
+    raw = [m for m, norm in zip(gen.matrices, norms) if norm > tol * norms.max()]
+    for seeds, norms in ((orthonormal, np.ones(len(orthonormal))), (raw, norms[norms > tol * norms.max()])):
+        for l, n in _factorizations(gen.dim):
+            new = _first_reached(seeds, norms, l, n, tol)
+            ref = closure_reference.seed_coefficients(seeds, norms, l, n, tol)
+            assert (new is None) == (ref is None), (l, n)
+            if ref is not None:
+                codes, coefficients, outside = new
+                assert np.array_equal(codes, ref[0]), (l, n)
+                assert max_abs(coefficients - ref[1]) <= 1e-14
+                # summed from the skipped diagonals' entries instead of their
+                # coefficients, and from another transform: equal up to its rounding
+                assert np.allclose(outside, ref[2], rtol=1e-9, atol=1e-15)
 
 
 class TestSupportSearch:
@@ -149,8 +161,9 @@ class TestSupportSearch:
         size = floor * (1 + step * np.finfo(float).eps)
         seeds = np.stack([_monomial(l, n, 10) / 3, size * _monomial(l, n, code)])
         for factor in ((3, 2), (9, 1)):
-            new = _first_reached(seeds, *factor, tol)
-            assert np.array_equal(new, closure_reference._first_reached(seeds, *factor, tol))
+            new = _first_reached(seeds, np.ones(2), *factor, tol)
+            ref = closure_reference._first_reached(seeds, *factor, tol)
+            assert np.array_equal(None if new is None else new[0], ref)
 
 
 @_property
@@ -166,6 +179,169 @@ def test_support_of_perturbed_monomial_sets(case, data):
 @given(st.integers(2, 16), st.integers(0, 2**32 - 1), st.sampled_from(MODES))
 def test_support_of_dense_pairs(d, seed, mode):
     _assert_same_support(prepare_generators(_random_pair(seed, d), mode))
+
+
+# ------------------------------------------------------------------ engine choice
+
+
+def _routing(result):
+    codes = result.basis.codes.tolist() if result.engine == "monomial" else None
+    return result.engine, codes, result.rounds, result.achieved_dim, result.universal
+
+
+def assert_same_routing(gen, tol=1e-9):
+    assert _routing(closure(gen, tol=tol)) == _routing(reference_routed_closure(gen, tol=tol))
+
+
+# Two real-mode sets at l=4, n=2 (codes as in quditkit.weyl) on which the dense
+# engine counts rounding dust as directions.
+DUST_CASE_1 = ([67, 27, 81], [-0.7111114341098158, 3.1411594878060636, -0.252348007011997])
+DUST_CASE_2 = ([102, 1], [-0.7827014803846899, 0.75])
+
+
+def _phased(codes, phases, l=4, n=2):
+    return [np.exp(1j * p) * _monomial(l, n, c) for c, p in zip(codes, phases)]
+
+
+class TestEngineChoice:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name,l,n", NAMED_GRID_32, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID_32])
+    def test_named_sets(self, name, l, n, mode):
+        assert_same_routing(prepare_generators(named_generator_set(name, l, n), mode))
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dust_case_1(self, mode, tol):
+        assert_same_routing(prepare_generators(_phased(*DUST_CASE_1), mode), tol)
+
+    # y = 1 and 102 are seed codes; at 1e-13 the others give every outcome:
+    # dense 255, 64 and 12, and monomial 12 (real mode, y = 3 and 238).
+    @pytest.mark.parametrize("y", [1, 2, 3, 9, 33, 101, 102, 238])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dust_case_2(self, mode, tol, y):
+        mats = _phased(*DUST_CASE_2)
+        mats[0] = mats[0] + 1e-12 * _monomial(4, 2, y)
+        assert_same_routing(prepare_generators(mats, mode), tol)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_all_zero_input(self, mode):
+        gen = prepare_generators([np.zeros((4, 4)), np.eye(4)], mode)
+        assert _routing(closure(gen)) == ("monomial", [], 0, 0, False)
+        assert_same_routing(gen)
+
+    @pytest.mark.parametrize("size", [0.0, 1e-300, 5e-10, 1e-9, 2e-9])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seeds_below_the_floor(self, mode, size):
+        # Seeds at most tol times the largest norm count as zero.  The
+        # perturbed seed sits between two seeds along other monomials, so a
+        # seed kept or dropped would change the first-reach order.
+        l, n = 3, 2
+        mats = [_monomial(l, n, 10), size * (_monomial(l, n, 41) + _monomial(l, n, 66)), _monomial(l, n, 75)]
+        assert_same_routing(prepare_generators(mats, mode))
+
+    # an empty set is refused before the tolerance is checked
+    @pytest.mark.parametrize("count,tol", [(0, 1e-9), (0, float("nan")), (1, 0.0), (1, -1.0),
+                                           (1, float("nan")), (1, float("inf"))])
+    def test_error_messages(self, count, tol):
+        gen = GeneratorSet("", 2, (np.eye(2, dtype=complex),) * count, COMPLEX_TRACELESS)
+        messages = []
+        for engine in (closure, reference_routed_closure):
+            with pytest.raises(ValueError) as raised:
+                engine(gen, tol=tol)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert (messages[0] == "generator set is empty") == (count == 0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seeds_short_of_the_rank_of_their_support(self, mode):
+        l, n = 3, 2
+        pair = _monomial(l, n, 10) + _monomial(l, n, 41)
+        gen = prepare_generators([pair, 2j * pair, _monomial(l, n, 66)], mode)
+        assert closure(gen).engine == "dense"
+        assert_same_routing(gen)
+
+    # At delta = 1e-7, 1e-8 and 3e-9 the Gram-Schmidt route went dense (see closure).
+    @pytest.mark.parametrize("delta", [0.0, 1e-9, 1.5e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nearly_dependent_seeds(self, mode, delta):
+        l, n = 3, 2
+        mats = [_monomial(l, n, 10) + _monomial(l, n, 41), _monomial(l, n, 10) + (1 + delta) * _monomial(l, n, 41)]
+        assert_same_routing(prepare_generators(mats, mode))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.1]), st.sampled_from([1e-11, 1e-9, 1e-7]))
+def test_rank_test_matches_the_singular_values(m, extra, seed, repeat, spread, tol):
+    # Rows near the identity's, which the Gershgorin bound certifies, and
+    # rows with extra or nearly repeated ones, which go on to the SVD.
+    rng = np.random.default_rng(seed)
+    gaussian = lambda k: rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))  # noqa: E731
+    rows = np.vstack([np.eye(m), 0.1 * gaussian(extra)]) + spread * gaussian(m + extra)
+    if repeat and m > 1:
+        rows[1] = rows[0] + spread * rows[1]
+    expected = np.linalg.svd(rows, compute_uv=False)[-1] > tol
+    assert _spans_every_column(rows, tol) == expected
+
+
+@st.composite
+def monomial_families(draw):
+    """(matrices, mode, tol): a phase-times-monomial set with seeds added
+    that repeat, combine or phase-shift the others."""
+    *_, mats, mode = draw(monomial_sets())
+    factor = st.sampled_from([1.0, -1.0, 2.0, 0.5, 1j, -1j, 1 + 1j, np.exp(0.3j)])
+    for kind in draw(st.lists(st.sampled_from(["repeat", "combine", "phase"]), min_size=1, max_size=4)):
+        first = draw(st.integers(0, len(mats) - 1))
+        if kind == "repeat":
+            mats.append(mats[first])
+        elif kind == "phase":
+            mats.append(draw(factor) * mats[first])
+        else:
+            second = draw(st.integers(0, len(mats) - 1))
+            mats.append(draw(factor) * mats[first] + draw(factor) * mats[second])
+    mats = draw(st.permutations(mats))
+    return mats, mode, draw(st.sampled_from([1e-7, 1e-9, 1e-11]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(monomial_families())
+def test_engine_choice_on_monomial_families(case):
+    mats, mode, tol = case
+    assert_same_routing(prepare_generators(mats, mode), tol)
+
+
+class TestDensePathUnchanged:
+    """Inputs that are not monomial sets run the dense engine as before, bit for bit."""
+
+    @staticmethod
+    def _generic_inputs(seed):
+        # the closure-generic benchmark inputs of one seed
+        rng = np.random.default_rng(seed)
+        [_complex_gaussian(rng, 4) for _ in range(2)]  # the warm-up pair
+        return [
+            ([_complex_gaussian(rng, 16) for _ in range(2)], REAL_ANTIHERMITIAN),
+            ([_complex_gaussian(rng, 12) for _ in range(2)], COMPLEX_TRACELESS),
+            (_block_pair(rng, 6, 6), REAL_ANTIHERMITIAN),
+        ]
+
+    @staticmethod
+    def assert_bitwise(gen):
+        new, ref = closure(gen), reference_routed_closure(gen)
+        assert new.engine == ref.engine == "dense"
+        assert (new.rounds, new.achieved_dim) == (ref.rounds, ref.achieved_dim)
+        assert len(new.basis) == len(ref.basis)
+        assert all(np.array_equal(a, b) for a, b in zip(new.basis, ref.basis))
+        return new.achieved_dim
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closure_generic_inputs(self, seed):
+        dims = [self.assert_bitwise(prepare_generators(mats, mode)) for mats, mode in self._generic_inputs(seed)]
+        assert dims == [255, 143, 71]
+
+    @pytest.mark.parametrize("seed,a,b", [(43, 6, 6), (608, 8, 8), (211, 5, 6)])
+    def test_block_pairs(self, seed, a, b):
+        self.assert_bitwise(prepare_generators(_block_pair(seed, a, b), REAL_ANTIHERMITIAN))
 
 
 # ---------------------------------------------------------- stacked preprocessing
