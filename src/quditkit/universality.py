@@ -220,7 +220,7 @@ def closure(
     coefficients on S0 have rank |S0| (the |S0|-th singular value exceeds
     ``tol``; the decomposition is an isometry, so this is their rank as
     matrices).  Each seed must also lie within ``tol`` in norm of the span
-    of the monomials it reaches: a part spread over several monomials, each
+    of the S0 monomials: a part spread over several monomials, each
     component below ``tol``, can exceed it.  Since ``[W(x), W(y)]`` is a
     nonzero multiple of ``W(x + y)`` exactly when the symplectic form of x
     and y is nonzero mod l, the closure is then decided on integer codes
@@ -291,9 +291,10 @@ def closure(
     honestly converging run can never hit).
     """
     max_rounds = _round_cap(gen_set, max_rounds, tol)
-    found = _monomial_support(gen_set, tol)
+    seeds, norms = _kept_seeds(gen_set, tol)
+    found = _monomial_support(seeds, norms, gen_set.dim, gen_set.mode, tol)
     if found is None:
-        return _dense_sweep(*_seed(gen_set, max_rounds, tol))
+        return _dense_sweep(_seed(seeds, gen_set, tol), max_rounds)
     return _monomial_closure(*found, gen_set.mode, max_rounds, tol)
 
 
@@ -303,26 +304,28 @@ def _dense_closure(
     tol: float = 1e-9,
 ) -> ClosureResult:
     """:func:`closure` on the dense engine whatever the input."""
-    return _dense_sweep(*_seed(gen_set, max_rounds, tol))
-
-
-def _seed(
-    gen_set: GeneratorSet, max_rounds: Optional[int], tol: float
-) -> Tuple["_BasisBuilder", int]:
-    """The basis builder holding the seeds, and the round cap."""
     max_rounds = _round_cap(gen_set, max_rounds, tol)
+    return _dense_sweep(_seed(_kept_seeds(gen_set, tol)[0], gen_set, tol), max_rounds)
+
+
+def _kept_seeds(gen_set: GeneratorSet, tol: float) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The inputs whose norm exceeds ``tol`` times the largest, and their norms."""
+    norms = np.array([np.linalg.norm(m) for m in gen_set.matrices])
+    kept = norms > tol * norms.max()
+    return [m for m, keep in zip(gen_set.matrices, kept) if keep], norms[kept]
+
+
+def _seed(seeds: Sequence[np.ndarray], gen_set: GeneratorSet, tol: float) -> "_BasisBuilder":
+    """The dense engine's basis builder holding the kept ``seeds``."""
     d = gen_set.dim
     builder = _BasisBuilder(d, tol, gen_set.mode == REAL_ANTIHERMITIAN)
-    norms = [np.linalg.norm(m) for m in gen_set.matrices]
-    floor = tol * max(norms)
-    for m, norm in zip(gen_set.matrices, norms):
+    for m in seeds:
         # Traceless commutators never leave a (d^2 - 1)-dimensional space, but
         # a GeneratorSet built by hand may also carry the identity direction.
         if builder.size == d * d:
             break  # the basis already spans every d x d matrix
-        if norm > floor:
-            builder.offer(m)
-    return builder, max_rounds
+        builder.offer(m)
+    return builder
 
 
 def _round_cap(gen_set: GeneratorSet, max_rounds: Optional[int], tol: float) -> int:
@@ -383,43 +386,39 @@ def _negated(l: int, n: int) -> np.ndarray:
     return ((-_digits(l, 2 * n)) % l) @ (l ** np.arange(2 * n - 1, -1, -1))
 
 
-def _monomial_support(gen_set: GeneratorSet, tol: float) -> Optional[Tuple[int, int, np.ndarray]]:
-    """``(l, n, codes)`` when the seeds span all of their monomial support S0.
+def _monomial_support(
+    seeds: Sequence[np.ndarray], norms: np.ndarray, d: int, mode: str, tol: float
+) -> Optional[Tuple[int, int, np.ndarray]]:
+    """``(l, n, codes)`` when the ``seeds`` span all of their monomial support S0.
 
     ``codes`` lists S0 in the order the seeds first reach it, each seed's
     monomials by increasing code.  None when no factorization of d
     qualifies (see :func:`closure`).
     """
-    norms = np.sqrt([np.vdot(m, m).real for m in gen_set.matrices])
-    kept = norms > tol * norms.max()
-    seeds = [m for m, keep in zip(gen_set.matrices, kept) if keep]
-    for l, n in _factorizations(gen_set.dim):
-        found = _first_reached(seeds, norms[kept], l, n, tol)
+    for l, n in _factorizations(d):
+        found = _first_reached(seeds, norms, l, n, tol)
         if found is None:
             continue
         codes, coefficients, outside = found
-        if 0 in codes or (outside > tol).any():
+        if 0 in codes:
             continue
-        if gen_set.mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
+        if mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
             continue
-        if not _spans_every_column(coefficients, tol):
+        if np.min(np.linalg.svd(coefficients, compute_uv=False), initial=np.inf) <= tol:
+            continue
+        # A seed's part off its own monomials may lie along ones other seeds reach.
+        if any(_off_support(seeds[i], norms[i], codes, l, n) > tol for i in np.flatnonzero(outside > tol)):
             continue
         return l, n, codes
     return None
 
 
-def _spans_every_column(rows: np.ndarray, tol: float) -> bool:
-    """Whether the (k, m) ``rows``, k >= m, have m singular values above ``tol``.
-
-    Nearly orthogonal columns, as monomial seeds have, are certified by a
-    Gershgorin bound on the least eigenvalue of ``rows^H rows`` kept well
-    above ``tol^2`` and rounding, which spares an SVD.
-    """
-    gram = rows.conj().T @ rows
-    bound = np.min(2 * gram.diagonal().real - np.abs(gram).sum(axis=1), initial=np.inf)
-    if bound > max(2 * tol**2, 1e-6):
-        return True
-    return bool(np.linalg.svd(rows, compute_uv=False)[-1] > tol)
+def _off_support(seed: np.ndarray, norm: float, codes: np.ndarray, l: int, n: int) -> float:
+    """The norm of the unit ``seed / norm``'s part off the monomials ``codes``,
+    summed from its full decomposition."""
+    table = _diagonal_coefficients(seed[_wrapped_diagonals(l, n)], l, n).reshape(-1)
+    table[codes] = 0.0
+    return float(np.linalg.norm(table) * np.sqrt(l**n) / norm)
 
 
 def _first_reached(

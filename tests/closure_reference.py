@@ -12,7 +12,8 @@ eager basis builder, which forms the whole (k, d, d) basis at once; they
 are the references for the search that skips empty diagonals and for the
 lazy basis.  ``reference_routed_closure`` is :func:`quditkit.closure` as
 it chose its engine from the seeds after Gram-Schmidt, the reference for
-the choice from the raw seeds' Weyl coefficients (``seed_coefficients``).
+the choice from the raw seeds' Weyl coefficients (``seed_coefficients``
+and ``off_support``).
 ``reference_prepare`` and ``reference_validate`` are
 :func:`quditkit.prepare_generators` and the :class:`quditkit.GeneratorSet`
 checks matrix by matrix, the references for the stacked ones.
@@ -176,6 +177,13 @@ def seed_coefficients(
     return codes, np.where(reached, components, 0)[:, codes], outside
 
 
+def off_support(unit: np.ndarray, codes: np.ndarray, l: int, n: int) -> float:
+    """``universality._off_support`` from the full decomposition of the unit seed."""
+    components = _decompose(unit[None], l, n).reshape(-1) * np.sqrt(l**n)
+    components[codes] = 0
+    return float(np.sqrt(np.sum(np.abs(components) ** 2)))
+
+
 def reference_routed_closure(
     gen_set: GeneratorSet,
     max_rounds: Optional[int] = None,
@@ -183,7 +191,8 @@ def reference_routed_closure(
 ) -> ClosureResult:
     """:func:`quditkit.closure` seeding the dense engine's basis first and
     searching the support of the orthonormal seeds."""
-    builder, max_rounds = universality._seed(gen_set, max_rounds, tol)
+    real = gen_set.mode == REAL_ANTIHERMITIAN
+    builder, max_rounds = _seed(gen_set, max_rounds, tol, lambda d, tol: universality._BasisBuilder(d, tol, real))
     found = _orthonormal_support(builder.elements(), gen_set.mode, tol)
     if found is None:
         return universality._dense_sweep(builder, max_rounds)
@@ -293,16 +302,20 @@ def complex_dense_closure(
 
 
 def _seed(
-    gen_set: GeneratorSet, max_rounds: Optional[int], tol: float
+    gen_set: GeneratorSet, max_rounds: Optional[int], tol: float, make_builder=None
 ) -> Tuple["ComplexBasisBuilder", int]:
-    """The basis builder holding the seeds, and the round cap."""
+    """The basis builder holding the seeds, and the round cap.
+
+    ``make_builder(d, tol)`` makes the builder, a :class:`ComplexBasisBuilder`
+    by default.
+    """
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
     _check_tolerance(tol)
     d = gen_set.dim
     if max_rounds is None:
         max_rounds = d * d + 1  # the target dimension + 2
-    builder = ComplexBasisBuilder(d, tol)
+    builder = (make_builder or ComplexBasisBuilder)(d, tol)
     norms = [np.linalg.norm(m) for m in gen_set.matrices]
     floor = tol * max(norms)
     for m, norm in zip(gen_set.matrices, norms):
