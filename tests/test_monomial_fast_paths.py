@@ -283,9 +283,9 @@ class TestEngineChoice:
         assert_same_routing(prepare_generators(mats, mode))
 
     # A seed's parts below tol along monomials that other seeds reach lie in
-    # the span of S0.  Measured against only its own monomials (1.13 tol off
-    # them), the seed sent the set to the dense engine, which took the dust
-    # for directions: 80 of 80 for the mixed seed first.
+    # the span of S0, though the mixed seed lies 1.13 tol off its own
+    # monomial.  The dense engine takes that dust for directions: 80 of 80
+    # with the mixed seed first.
     @pytest.mark.parametrize("first", [False, True])
     @pytest.mark.parametrize("mode", MODES)
     def test_sub_threshold_parts_along_other_seeds(self, mode, first):
