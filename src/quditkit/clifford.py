@@ -67,8 +67,15 @@ def pauli(i: int) -> np.ndarray:
     return _PAULI[i].copy()
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices as the one broadcast product it makes,
+    bit for bit, without its per-call overhead."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def _kron_chain(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
+    return reduce(_kron, factors)
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,18 @@ class GeneratorFamily:
                 f"expected {2 * self.n} generators, got {len(self.matrices)}"
             )
         d = self.l**self.n
-        eye = np.eye(d, dtype=complex)
-        for idx, g in enumerate(self.matrices):
-            if g.shape != (d, d):
-                raise ValueError(f"generator {idx} has shape {g.shape}, expected {(d, d)}")
-            if max_abs(np.linalg.matrix_power(g, self.l) - eye) > _ORDER_TOL:
-                raise ValueError(f"generator {idx} does not have order {self.l}")
+        # the first failing generator raises; its shape is checked before its order
+        shaped = next(
+            (idx for idx, g in enumerate(self.matrices) if g.shape != (d, d)), len(self.matrices)
+        )
+        if shaped:
+            power = np.linalg.matrix_power(np.stack(self.matrices[:shaped]), self.l)
+            failed = np.flatnonzero(np.abs(power - np.eye(d)).max(axis=(1, 2)) > _ORDER_TOL)
+            if failed.size:
+                raise ValueError(f"generator {failed[0]} does not have order {self.l}")
+        if shaped < len(self.matrices):
+            g = self.matrices[shaped]
+            raise ValueError(f"generator {shaped} has shape {g.shape}, expected {(d, d)}")
 
     @property
     def dim(self) -> int:
@@ -156,8 +169,8 @@ def canonical_generators(l: int, n: int) -> GeneratorFamily:
     for site in range(n):
         left = np.eye(l**site, dtype=complex)
         right = np.eye(l ** (n - site - 1), dtype=complex)
-        mats.append(np.kron(np.kron(left, u), right))
-        mats.append(np.kron(np.kron(left, v), right))
+        mats.append(_kron_chain([left, u, right]))
+        mats.append(_kron_chain([left, v, right]))
     return GeneratorFamily(l, n, "canonical", tuple(mats))
 
 

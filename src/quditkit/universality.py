@@ -91,6 +91,13 @@ class GeneratorSet:
     matrices: Tuple[np.ndarray, ...]
     mode: str
 
+    @classmethod
+    def _prepared(cls, name: str, dim: int, matrices: Tuple[np.ndarray, ...], mode: str) -> "GeneratorSet":
+        """A set :func:`prepare_generators` made valid by construction, built without the checks."""
+        prepared = object.__new__(cls)
+        vars(prepared).update(name=name, dim=dim, matrices=matrices, mode=mode)
+        return prepared
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
@@ -160,21 +167,31 @@ def prepare_generators(
     The inputs are processed as one (k, d, d) stack with the elementwise
     arithmetic of :func:`traceless_project` and :func:`hermitian_split`, so
     the output equals theirs bit for bit; real mode puts each input's pair
-    in place of the input.
+    in place of the input.  Beyond the inputs, the call holds one copy of
+    the stack and, in real mode, the (2k, d, d) split that it returns: at
+    most three stacks' worth in all.  That arithmetic makes every real-mode
+    output exactly anti-Hermitian, so the set skips the check a hand-built
+    real-mode :class:`GeneratorSet` gets; an overflow to a non-finite entry
+    still raises ``ValueError``.
     """
     stack = _stack_inputs(matrices)
     k, d = stack.shape[:2]
     traces = np.trace(stack, axis1=1, axis2=2) / d
     stack -= traces[:, None, None] * np.eye(d, dtype=complex)
-    if mode == REAL_ANTIHERMITIAN:
-        # written in place: temporaries of the whole stack cost more than the arithmetic
-        adjoint = stack.transpose(0, 2, 1).conj()
-        split = np.empty((k, 2, d, d), dtype=complex)
-        np.add(stack, adjoint, out=split[:, 0])
-        split[:, 0] *= 1j
-        np.subtract(stack, adjoint, out=split[:, 1])
-        stack = split.reshape(2 * k, d, d)
-    return GeneratorSet(name=name, dim=d, matrices=tuple(stack), mode=mode)
+    if mode != REAL_ANTIHERMITIAN:
+        return GeneratorSet(name=name, dim=d, matrices=tuple(stack), mode=mode)
+    # written in place: temporaries of the whole stack cost more than the arithmetic
+    split = np.empty((k, 2, d, d), dtype=complex)
+    adjoint = split[:, 1]
+    np.conjugate(stack.transpose(0, 2, 1), out=adjoint)
+    np.add(stack, adjoint, out=split[:, 0])
+    split[:, 0] *= 1j
+    np.subtract(stack, adjoint, out=adjoint)
+    # i(M + M*) and M - M* are exactly anti-Hermitian; only an overflow can fail the check
+    parts = split.view(np.float64)
+    if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
+        raise ValueError("matrix contains non-finite entries")
+    return GeneratorSet._prepared(name, d, tuple(split.reshape(2 * k, d, d)), mode)
 
 
 def _stack_inputs(matrices: Iterable[np.ndarray]) -> np.ndarray:
@@ -498,10 +515,13 @@ def _monomial_closure(
     digits = _digits(l, 2 * n)  # row x: shift digits a, then clock digits b
     weights = l ** np.arange(2 * n - 1, -1, -1)
     neg = _negated(l, n) if mode == REAL_ANTIHERMITIAN else None
+    position = np.empty(d * d, dtype=np.intp)  # scratch for _with_negations
     member = np.zeros(d * d, dtype=bool)
     codes = np.empty(target, dtype=np.intp)  # the identity, code 0, is never reached
+    rows = np.empty((target, 2 * n), dtype=digits.dtype)  # the digits of each code
     size = len(seed_codes)
     codes[:size] = seed_codes
+    rows[:size] = digits[seed_codes]
     member[seed_codes] = True
     rounds = 0
     frontier_start = 0
@@ -511,16 +531,19 @@ def _monomial_closure(
         rounds += 1
         frontier_end = size
         for i in range(frontier_start, frontier_end):
-            x = digits[codes[i]]
-            y = digits[np.concatenate((codes[:frontier_start], codes[i + 1:size]))]
-            # [W(x), W(y)] is a nonzero multiple of W(x + y) iff a_x.b_y - b_x.a_y != 0 mod l
-            omega = (y[:, n:] @ x[:n] - y[:, :n] @ x[n:]) % l
+            x = rows[i]
+            # [W(x), W(y)] is a nonzero multiple of W(x + y) iff the symplectic
+            # form a_y.b_x - b_y.a_x = y.Jx is nonzero mod l
+            jx = np.concatenate((-x[n:], x[:n]))
+            y = np.concatenate((rows[:frontier_start], rows[i + 1:size]))
+            omega = (y @ jx) % l
             sums = ((x + y) % l) @ weights
             new = sums[(omega != 0) & ~member[sums]]
             if neg is not None and new.size:
-                new = _with_negations(new, neg)
+                new = _with_negations(new, neg, position)
             member[new] = True
             codes[size:size + len(new)] = new
+            rows[size:size + len(new)] = digits[new]
             size += len(new)
             if size == target:
                 break
@@ -528,15 +551,20 @@ def _monomial_closure(
     return _result(_MonomialBasis(l, n, codes[:size], mode), target, rounds, tol, "monomial")
 
 
-def _with_negations(new: np.ndarray, neg: np.ndarray) -> np.ndarray:
+def _with_negations(new: np.ndarray, neg: np.ndarray, position: np.ndarray) -> np.ndarray:
     """Each pair {z, -z} met in ``new``, in order of first meeting, as z then -z.
 
     An anti-Hermitian matrix with a component along W(z) has one along
     W(-z), so real mode admits the two together; members stay closed under
-    negation, so neither is a member yet.
+    negation, so neither is a member yet.  The codes in ``new`` are
+    distinct, so ``position`` (scratch, one entry per code) records where
+    each is met, and z leads its pair unless -z is met before it.
     """
-    _, first = np.unique(np.minimum(new, neg[new]), return_index=True)
-    lead = new[np.sort(first)]
+    order = np.arange(len(new))
+    partner = neg[new]
+    position[partner] = len(new)  # met after everything, unless in new
+    position[new] = order
+    lead = new[position[partner] >= order]
     pairs = np.stack((lead, neg[lead]), axis=1)
     keep = np.ones(pairs.shape, dtype=bool)
     keep[:, 1] = pairs[:, 1] != lead  # z = -z counts once

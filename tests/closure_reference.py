@@ -14,6 +14,9 @@ lazy basis.  ``reference_routed_closure`` is :func:`quditkit.closure` as
 it chose its engine from the seeds after Gram-Schmidt, the reference for
 the choice from the raw seeds' Weyl coefficients (``seed_coefficients``
 and ``off_support``).
+``reference_monomial_closure`` is the monomial engine's sweep as it
+gathered each partner's digits from the code table, the reference for the
+sweep over stored digit rows.
 ``reference_prepare`` and ``reference_validate`` are
 :func:`quditkit.prepare_generators` and the :class:`quditkit.GeneratorSet`
 checks matrix by matrix, the references for the stacked ones.
@@ -57,7 +60,7 @@ from quditkit.universality import (
     _non_convergence,
     _result,
 )
-from quditkit.weyl import _decompose, _monomial_entries
+from quditkit.weyl import _decompose, _digits, _monomial_entries
 
 
 def reference_extend(
@@ -217,6 +220,57 @@ def _orthonormal_support(
             continue
         return l, n, codes
     return None
+
+
+def reference_monomial_closure(
+    l: int, n: int, seed_codes: np.ndarray, mode: str, max_rounds: int, tol: float
+) -> ClosureResult:
+    """The monomial engine's sweep gathering each partner's digits from the
+    code table and forming the symplectic form from two half products."""
+    d = l**n
+    target = d * d - 1
+    digits = _digits(l, 2 * n)  # row x: shift digits a, then clock digits b
+    weights = l ** np.arange(2 * n - 1, -1, -1)
+    neg = _negated(l, n) if mode == REAL_ANTIHERMITIAN else None
+    member = np.zeros(d * d, dtype=bool)
+    codes = np.empty(target, dtype=np.intp)  # the identity, code 0, is never reached
+    size = len(seed_codes)
+    codes[:size] = seed_codes
+    member[seed_codes] = True
+    rounds = 0
+    frontier_start = 0
+    while frontier_start < size < target:
+        if rounds == max_rounds:
+            raise _non_convergence(max_rounds, size, target)
+        rounds += 1
+        frontier_end = size
+        for i in range(frontier_start, frontier_end):
+            x = digits[codes[i]]
+            y = digits[np.concatenate((codes[:frontier_start], codes[i + 1:size]))]
+            # [W(x), W(y)] is a nonzero multiple of W(x + y) iff a_x.b_y - b_x.a_y != 0 mod l
+            omega = (y[:, n:] @ x[:n] - y[:, :n] @ x[n:]) % l
+            sums = ((x + y) % l) @ weights
+            new = sums[(omega != 0) & ~member[sums]]
+            if neg is not None and new.size:
+                new = _reference_with_negations(new, neg)
+            member[new] = True
+            codes[size:size + len(new)] = new
+            size += len(new)
+            if size == target:
+                break
+        frontier_start = frontier_end
+    return _result(universality._MonomialBasis(l, n, codes[:size], mode), target, rounds, tol, "monomial")
+
+
+def _reference_with_negations(new: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Each pair {z, -z} met in ``new``, in order of first meeting, as z then -z,
+    the first meetings found by sorting."""
+    _, first = np.unique(np.minimum(new, neg[new]), return_index=True)
+    lead = new[np.sort(first)]
+    pairs = np.stack((lead, neg[lead]), axis=1)
+    keep = np.ones(pairs.shape, dtype=bool)
+    keep[:, 1] = pairs[:, 1] != lead  # z = -z counts once
+    return pairs[keep]
 
 
 def _monomial_basis(l: int, n: int, codes: np.ndarray, mode: str) -> np.ndarray:

@@ -1,8 +1,13 @@
 """Generator families: anticommuting qubit arrays, their order-l analogues,
 per-site canonical pairs, and the derived gate sets."""
 
+import json
+from functools import reduce
+
 import numpy as np
 import pytest
+
+from generate_digests import DIGESTS_PATH, digest_case, generate_cases
 
 from quditkit import (
     GeneratorFamily,
@@ -275,6 +280,56 @@ class TestRegistry:
             named_generator_set("biproducts", 3, 2)
 
 
+class TestBuildersMatchKron:
+    """The builders' broadcast products are the products ``np.kron`` makes, byte for byte."""
+
+    @staticmethod
+    def assert_bytes(family, factor_lists):
+        ref = [reduce(np.kron, factors) for factors in factor_lists]
+        assert len(family.matrices) == len(ref)
+        for got, want in zip(family.matrices, ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    @staticmethod
+    def walking(n, eye, first, second, tail):
+        for k in range(n):
+            for active in (first, second):
+                yield [eye] * (n - k - 1) + [active] + [tail] * k
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_clifford(self, n):
+        p = [pauli(i) for i in range(4)]
+        self.assert_bytes(clifford_generators(n), self.walking(n, p[0], p[1], p[2], p[3]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("l", range(2, 8))
+    def test_generalized(self, l, n):
+        t1, t2, t3 = tau_matrices(l)
+        self.assert_bytes(generalized_generators(l, n), self.walking(n, np.eye(l, dtype=complex), t1, t2, t3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("l", range(2, 8))
+    def test_canonical(self, l, n):
+        sites = [(np.eye(l**site, dtype=complex), np.eye(l ** (n - site - 1), dtype=complex)) for site in range(n)]
+        self.assert_bytes(canonical_generators(l, n), (
+            [left, m, right] for left, right in sites for m in (shift_matrix(l), clock_matrix(l))
+        ))
+
+
+GENERATE_DIGESTS = json.loads(DIGESTS_PATH.read_text())
+
+
+def test_generate_digest_grid_is_the_recorded_one():
+    assert sorted(" ".join(argv) for argv in generate_cases()) == sorted(GENERATE_DIGESTS["cases"])
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_DIGESTS["cases"]))
+def test_generate_writes_the_recorded_bytes(case):
+    # recorded before the builders stopped calling np.kron; see generate_digests.py
+    assert digest_case(case.split()) == GENERATE_DIGESTS["cases"][case]
+
+
 class TestFamilyValidation:
     def test_wrong_order_rejected(self):
         u = shift_matrix(3)
@@ -284,6 +339,25 @@ class TestFamilyValidation:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="expected 4 generators"):
             GeneratorFamily(2, 2, "clifford", tuple(clifford_generators(1).matrices))
+
+    @pytest.fixture
+    def parts(self):
+        good = clifford_generators(2).matrices
+        return good, 2 * good[1], good[2][:2, :2]
+
+    def test_first_failing_generator_raises(self, parts):
+        good, unordered, misshapen = parts
+        with pytest.raises(ValueError, match=r"^generator 1 does not have order 2$"):
+            GeneratorFamily(2, 2, "clifford", (good[0], unordered, unordered, good[3]))
+        with pytest.raises(ValueError, match=r"^generator 1 does not have order 2$"):
+            GeneratorFamily(2, 2, "clifford", (good[0], unordered, misshapen, good[3]))
+        with pytest.raises(ValueError, match=r"^generator 1 has shape \(2, 2\), expected \(4, 4\)$"):
+            GeneratorFamily(2, 2, "clifford", (good[0], misshapen, unordered, good[3]))
+
+    def test_shape_is_checked_before_order(self, parts):
+        good, _, misshapen = parts
+        with pytest.raises(ValueError, match=r"^generator 0 has shape \(2, 2\), expected \(4, 4\)$"):
+            GeneratorFamily(2, 2, "clifford", (2 * misshapen, good[1], good[2], good[3]))
 
     def test_clifford_kind_requires_l2(self):
         taus = generalized_generators(3, 1).matrices

@@ -2,13 +2,15 @@
 the lazy basis against the eager builder, the support search that skips
 empty diagonals against the one that transforms every diagonal, the engine
 chosen from the raw seeds' Weyl coefficients against the one chosen after
-Gram-Schmidt, and the stacked preprocessing against the per-matrix one;
-plus the CLI paths that rely on the lazy basis."""
+Gram-Schmidt, the sweep over stored digit rows against the one gathering
+digits from the code table, and the stacked preprocessing against the
+per-matrix one; plus the CLI paths that rely on the lazy basis."""
 
 import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -18,13 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_reference
-from closure_reference import reference_prepare, reference_routed_closure, reference_validate
+from closure_reference import (
+    _reference_with_negations,
+    reference_monomial_closure,
+    reference_prepare,
+    reference_routed_closure,
+    reference_validate,
+)
 from quditkit import (
     COMPLEX_TRACELESS,
     GENERATOR_SET_NAMES,
     MODES,
     REAL_ANTIHERMITIAN,
     GeneratorSet,
+    NonConvergenceError,
     closure,
     max_abs,
     named_generator_set,
@@ -33,25 +42,35 @@ from quditkit import (
 )
 from quditkit import cli
 from quditkit.serialize import load_matrix
-from quditkit.universality import _factorizations, _first_reached, _kept_seeds, _off_support, _seed
+from quditkit.universality import (
+    _factorizations,
+    _first_reached,
+    _kept_seeds,
+    _monomial_closure,
+    _monomial_support,
+    _negated,
+    _off_support,
+    _seed,
+)
 from test_closure_engine import ACCEPTANCE_SETS, _block_pair, _random_pair
 from test_monomial_engine import NAMED_GRID, _QUBIT_ONLY, _monomial, monomial_sets
 
 _property = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
-def _named_grid_32():
-    """(name, l, n) of every named set with l^n <= 32."""
+def _named_grid_to(limit):
+    """(name, l, n) of every named set with l^n <= limit."""
     for name in GENERATOR_SET_NAMES:
-        for l in [2] if name in _QUBIT_ONLY else range(2, 33):
+        for l in [2] if name in _QUBIT_ONLY else range(2, limit + 1):
             n = 1
-            while l**n <= 32:
+            while l**n <= limit:
                 if not (name == "clifford-universal" and n < 2):
                     yield name, l, n
                 n += 1
 
 
-NAMED_GRID_32 = list(_named_grid_32())
+NAMED_GRID_32 = list(_named_grid_to(32))
+NAMED_GRID_81 = list(_named_grid_to(81))
 
 
 def _eager(basis):
@@ -356,13 +375,55 @@ class TestDensePathUnchanged:
         self.assert_bitwise(prepare_generators(_block_pair(seed, a, b), REAL_ANTIHERMITIAN))
 
 
+# ------------------------------------------------------------ digit-row sweep
+
+
+def assert_same_sweep(l, n, seed_codes, mode, max_rounds):
+    got = _outcome(lambda: _monomial_closure(l, n, seed_codes, mode, max_rounds, 1e-9))
+    ref = _outcome(lambda: reference_monomial_closure(l, n, seed_codes, mode, max_rounds, 1e-9))
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert np.array_equal(got.basis.codes, ref.basis.codes)
+    assert (got.rounds, got.achieved_dim, got.universal) == (ref.rounds, ref.achieved_dim, ref.universal)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", GENERATOR_SET_NAMES)
+def test_sweep_matches_the_reference_on_named_sets(name, mode):
+    # every named set with l^n <= 81, looped here to keep the case count low
+    for _, l, n in (case for case in NAMED_GRID_81 if case[0] == name):
+        gen = prepare_generators(named_generator_set(name, l, n), mode)
+        found = _monomial_support(*_kept_seeds(gen, 1e-9), gen.dim, mode, 1e-9)
+        assert found is not None, (l, n)
+        assert_same_sweep(*found, mode, gen.dim**2 + 1)
+
+
+@st.composite
+def seed_code_sets(draw):
+    """(l, n, seed codes, mode, round cap): distinct nonzero codes, closed
+    under negation in real mode, each x followed by -x."""
+    l, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 1), (7, 1)]))
+    mode = draw(st.sampled_from(MODES))
+    codes = np.array(draw(st.lists(st.integers(1, l ** (2 * n) - 1), min_size=1, max_size=6, unique=True)))
+    if mode == REAL_ANTIHERMITIAN:
+        codes = _reference_with_negations(codes, _negated(l, n))
+    return l, n, codes, mode, draw(st.sampled_from([1, 2, l ** (2 * n) + 1]))
+
+
+@_property
+@given(seed_code_sets())
+def test_sweep_matches_the_reference_on_random_seed_codes(case):
+    assert_same_sweep(*case)
+
+
 # ---------------------------------------------------------- stacked preprocessing
 
 
 def _outcome(call):
     try:
         return call()
-    except ValueError as exc:
+    except (ValueError, NonConvergenceError) as exc:
         return str(exc)
 
 
@@ -417,6 +478,7 @@ class TestStackedPreprocessing:
         ref = reference_prepare(mats, mode)
         assert len(got) == len(ref)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        GeneratorSet("", len(got[0]), got, mode)  # passes the checks its construction skips
 
     @_property
     @given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from(MODES))
@@ -429,6 +491,7 @@ class TestStackedPreprocessing:
         got = prepare_generators(mats, mode).matrices
         ref = reference_prepare(mats, mode)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref, strict=True))
+        GeneratorSet("", d, got, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("mats", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
@@ -436,6 +499,37 @@ class TestStackedPreprocessing:
         message = _outcome(lambda: reference_prepare(mats, mode))
         assert isinstance(message, str)
         assert _outcome(lambda: prepare_generators(mats, mode)) == message
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 1e308], [1e308, 0]],  # M + M* overflows
+        [[0, 1e308], [-1e308, 0]],  # M - M* overflows
+        [[1e308, 0], [0, 1e308]],  # the trace overflows
+    ])
+    def test_real_mode_overflow_is_refused(self, entries):
+        mats = [np.eye(2), np.array(entries)]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+            prepare_generators(mats, REAL_ANTIHERMITIAN)
+
+    def test_hand_built_real_mode_sets_keep_the_check(self):
+        skew = np.array([[0, 1], [-1, 0]], dtype=complex)
+        with pytest.raises(ValueError, match=(
+            r"^matrix 1 is not anti-Hermitian; real mode requires preprocessed input "
+            r"\(see prepare_generators\)$"
+        )):
+            GeneratorSet("", 2, (skew, np.eye(2, dtype=complex)), REAL_ANTIHERMITIAN)
+
+    def test_peak_memory_is_one_stack_copy_plus_the_split(self):
+        # The inputs, the stack and the (2k, d, d) split are k, k and 2k
+        # matrices; a transposed copy of the stack would add another k.
+        mats = named_generator_set("biproducts", 2, 6)
+        k, d = len(mats), mats[0].shape[0]
+        tracemalloc.start()
+        try:
+            prepare_generators(mats, REAL_ANTIHERMITIAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * k * d * d * 16
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("mats", VALIDATION_CASES, ids=range(len(VALIDATION_CASES)))
