@@ -9,102 +9,23 @@ exposes generation, verification, closure, decomposition, and circuit
 application over flat JSON files.
 """
 
-from .linalg import (
-    ExtendResult,
-    as_matrix,
-    commutator,
-    dagger,
-    hs_inner,
-    hs_norm,
-    mat_mul,
-    matrix_exp,
-    max_abs,
-    orthonormal_extend,
-    tensor_product,
-)
-from .weyl import (
-    RootOfUnity,
-    clock_matrix,
-    fermat_power_residual,
-    reflection_matrix,
-    rotated_basis_element,
-    scalar_factorization_residuals,
-    shift_matrix,
-    tau_matrices,
-    weyl_commutation_residual,
-    weyl_commutator_coefficient,
-    weyl_decompose,
-    weyl_element,
-    weyl_reconstruct,
-)
-from .clifford import (
-    GENERATOR_SET_NAMES,
-    GeneratorFamily,
-    NoMatchingPowerError,
-    biproducts,
-    canonical_generators,
-    clifford_generators,
-    commutation_matrix,
-    generalized_generators,
-    named_generator_set,
-    pauli,
-    qudit_universal_set,
-    universal_augmentation,
-)
-from .universality import (
-    COMPLEX_TRACELESS,
-    ClosureResult,
-    GeneratorSet,
-    MODES,
-    NonConvergenceError,
-    REAL_ANTIHERMITIAN,
-    closure,
-    gate_from_generator,
-    hermitian_split,
-    is_universal,
-    prepare_generators,
-    traceless_project,
-)
-from .circuit import (
-    GateSpec,
-    QuditState,
-    apply_full,
-    apply_kgate,
-    basis_state,
-    cyclic_shift_gate,
-    embed_kgate,
-    momentum_basis,
-    perm_from_function,
-    qft_matrix,
-    reversible_embedding,
-)
-from .verify import VerifyCheck, VerifyReport, run_verification
+from .linalg import *  # noqa: F401,F403
+from .weyl import *  # noqa: F401,F403
+from .clifford import *  # noqa: F401,F403
+from .universality import *  # noqa: F401,F403
+from .circuit import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from . import circuit, clifford, linalg, universality, verify, weyl
 
 __version__ = "0.1.0"
 
+# each public name is listed once, in the __all__ of the module defining it
 __all__ = [
     "__version__",
-    # linalg
-    "ExtendResult", "as_matrix", "commutator", "dagger", "hs_inner", "hs_norm",
-    "mat_mul", "matrix_exp", "max_abs", "orthonormal_extend", "tensor_product",
-    # weyl
-    "RootOfUnity", "clock_matrix", "fermat_power_residual", "reflection_matrix",
-    "rotated_basis_element", "scalar_factorization_residuals", "shift_matrix",
-    "tau_matrices", "weyl_commutation_residual", "weyl_commutator_coefficient",
-    "weyl_decompose", "weyl_element", "weyl_reconstruct",
-    # clifford
-    "GENERATOR_SET_NAMES", "GeneratorFamily", "NoMatchingPowerError", "biproducts",
-    "canonical_generators", "clifford_generators", "commutation_matrix",
-    "generalized_generators", "named_generator_set", "pauli",
-    "qudit_universal_set", "universal_augmentation",
-    # universality
-    "COMPLEX_TRACELESS", "ClosureResult", "GeneratorSet", "MODES",
-    "NonConvergenceError", "REAL_ANTIHERMITIAN", "closure", "gate_from_generator",
-    "hermitian_split", "is_universal", "prepare_generators", "traceless_project",
-    # circuit
-    "GateSpec", "QuditState", "apply_full", "apply_kgate", "basis_state",
-    "cyclic_shift_gate", "embed_kgate", "momentum_basis", "perm_from_function",
-    "qft_matrix", "reversible_embedding",
-    # verify
-    "VerifyCheck", "VerifyReport", "run_verification",
+    *linalg.__all__,
+    *weyl.__all__,
+    *clifford.__all__,
+    *universality.__all__,
+    *circuit.__all__,
+    *verify.__all__,
 ]

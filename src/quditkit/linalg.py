@@ -15,9 +15,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "max_abs",
-    "mat_mul",
-    "commutator",
-    "tensor_product",
     "dagger",
     "hs_inner",
     "hs_norm",
@@ -26,8 +23,6 @@ __all__ = [
     "orthonormal_extend",
 ]
 
-# Normality detection threshold for the eigendecomposition path of matrix_exp.
-_NORMALITY_TOL = 1e-12
 # Term cap for the scaling-and-squaring series fallback.
 _SERIES_MAX_TERMS = 64
 
@@ -45,25 +40,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def max_abs(a) -> float:
     """Largest entry magnitude, the norm used for all residual reporting."""
     return float(np.max(np.abs(a)))
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b - b @ a`` without revalidation; callers pass conforming arrays."""
-    return a @ b - b @ a
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with ``a`` supplying the most significant indices."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
 def dagger(a) -> np.ndarray:
@@ -112,20 +88,21 @@ def hs_norm(a, normalizer: Optional[float] = None) -> float:
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential.
 
-    Normal inputs (detected through the commutation defect of ``a`` with its
-    adjoint) are exponentiated through a unitary Schur diagonalization, which
-    keeps unitaries exactly unitary to rounding.  Anything else falls back to
-    scaling-and-squaring on the truncated power series.
+    Exactly Hermitian input ``h`` is exponentiated through its
+    eigendecomposition ``h = V diag(w) V*`` (``np.linalg.eigh``) as
+    ``V diag(exp(w)) V*``; exactly anti-Hermitian input ``m`` the same way
+    through ``h = i m``, as ``V diag(exp(-i w)) V*``, which is unitary to
+    rounding.  Anything else goes through scaling-and-squaring on the
+    truncated power series.
     """
-    # Imported here: scipy is this function's only use of it and would more
-    # than double the package's import time.
-    import scipy.linalg
-
     m = as_matrix(a)
     mh = m.conj().T
-    if max_abs(m @ mh - mh @ m) <= _NORMALITY_TOL:
-        t, z = scipy.linalg.schur(m, output="complex")
-        return (z * np.exp(np.diagonal(t))) @ z.conj().T
+    if np.array_equal(m, mh):
+        w, v = np.linalg.eigh(m)
+        return (v * np.exp(w)) @ v.conj().T
+    if np.array_equal(m, -mh):
+        w, v = np.linalg.eigh(1j * m)
+        return (v * np.exp(-1j * w)) @ v.conj().T
     return _exp_series(m)
 
 

@@ -171,14 +171,15 @@ def prepare_generators(
     the stack and, in real mode, the (2k, d, d) split that it returns: at
     most three stacks' worth in all.  That arithmetic makes every real-mode
     output exactly anti-Hermitian, so the set skips the check a hand-built
-    real-mode :class:`GeneratorSet` gets; an overflow to a non-finite entry
-    still raises ``ValueError``.
+    real-mode :class:`GeneratorSet` gets.  In either mode an overflow to a
+    non-finite entry raises ``ValueError``.
     """
     stack = _stack_inputs(matrices)
     k, d = stack.shape[:2]
     traces = np.trace(stack, axis1=1, axis2=2) / d
     stack -= traces[:, None, None] * np.eye(d, dtype=complex)
     if mode != REAL_ANTIHERMITIAN:
+        _check_finite(stack)
         return GeneratorSet(name=name, dim=d, matrices=tuple(stack), mode=mode)
     # written in place: temporaries of the whole stack cost more than the arithmetic
     split = np.empty((k, 2, d, d), dtype=complex)
@@ -188,10 +189,15 @@ def prepare_generators(
     split[:, 0] *= 1j
     np.subtract(stack, adjoint, out=adjoint)
     # i(M + M*) and M - M* are exactly anti-Hermitian; only an overflow can fail the check
-    parts = split.view(np.float64)
+    _check_finite(split)
+    return GeneratorSet._prepared(name, d, tuple(split.reshape(2 * k, d, d)), mode)
+
+
+def _check_finite(stack: np.ndarray) -> None:
+    """Raise :func:`as_matrix`'s error if the arithmetic on finite inputs overflowed."""
+    parts = stack.view(np.float64)
     if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
         raise ValueError("matrix contains non-finite entries")
-    return GeneratorSet._prepared(name, d, tuple(split.reshape(2 * k, d, d)), mode)
 
 
 def _stack_inputs(matrices: Iterable[np.ndarray]) -> np.ndarray:
@@ -865,14 +871,10 @@ def is_universal(
     tol: float = 1e-9,
 ) -> bool:
     """Preprocess, run the closure, and report whether the set is universal."""
-    d = l**n
-    mats = [as_matrix(m) for m in matrices]
-    for idx, m in enumerate(mats):
-        if m.shape[0] != d:
-            raise ValueError(
-                f"matrix {idx} has dimension {m.shape[0]}, expected l^n = {d}"
-            )
-    gen = prepare_generators(mats, mode)
+    gen = prepare_generators(matrices, mode)
+    # prepare_generators has checked that every matrix has the dimension of the first
+    if gen.dim != l**n:
+        raise ValueError(f"matrix 0 has dimension {gen.dim}, expected l^n = {l**n}")
     return closure(gen, tol=tol).universal
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import circuit, clifford, weyl
 from .linalg import _check_tolerance, max_abs
 
-__all__ = ["VerifyCheck", "VerifyReport", "run_verification", "DEFAULT_DIMS", "DEFAULT_SITES"]
+__all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
 
 # Default grid: exercises both the qubit and qudit paths in a few seconds.
 DEFAULT_DIMS = (2, 3, 4, 5)

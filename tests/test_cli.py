@@ -411,12 +411,19 @@ _SCIPY_PROBES = {
         "except SystemExit as exc:\n"
         "    assert exc.code in (0, None), exc.code\n"
     ),
+    # both exponentials: eigh for the anti-Hermitian exponents, the series for the rest
+    "exponentials": (
+        "import numpy as np\n"
+        "from quditkit import gate_from_generator, matrix_exp\n"
+        "gate_from_generator(np.arange(9.).reshape(3, 3) + 1j, 0.3)\n"
+        "matrix_exp([[0, 2], [0, 0]])\n"
+    ),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(_SCIPY_PROBES))
 def test_startup_leaves_scipy_unimported(probe):
-    # scipy is imported only by matrix_exp, which no startup path calls
+    # quditkit needs only numpy: neither startup nor matrix_exp loads scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -429,3 +436,27 @@ def test_startup_leaves_scipy_unimported(probe):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_public_names_are_pinned_and_resolve():
+    import quditkit
+
+    assert sorted(quditkit.__all__) == [
+        "COMPLEX_TRACELESS", "ClosureResult", "ExtendResult", "GENERATOR_SET_NAMES",
+        "GateSpec", "GeneratorFamily", "GeneratorSet", "MODES", "NoMatchingPowerError",
+        "NonConvergenceError", "QuditState", "REAL_ANTIHERMITIAN", "RootOfUnity",
+        "VerifyCheck", "VerifyReport", "__version__", "apply_full", "apply_kgate", "as_matrix",
+        "basis_state", "biproducts", "canonical_generators", "clifford_generators",
+        "clock_matrix", "closure", "commutation_matrix", "cyclic_shift_gate", "dagger",
+        "embed_kgate", "fermat_power_residual", "gate_from_generator",
+        "generalized_generators", "hermitian_split", "hs_inner", "hs_norm", "is_universal",
+        "matrix_exp", "max_abs", "momentum_basis", "named_generator_set", "orthonormal_extend",
+        "pauli", "perm_from_function", "prepare_generators", "qft_matrix",
+        "qudit_universal_set", "reflection_matrix", "reversible_embedding",
+        "rotated_basis_element", "run_verification", "scalar_factorization_residuals",
+        "shift_matrix", "tau_matrices", "traceless_project", "universal_augmentation",
+        "weyl_commutation_residual", "weyl_commutator_coefficient", "weyl_decompose",
+        "weyl_element", "weyl_reconstruct",
+    ]
+    assert len(set(quditkit.__all__)) == len(quditkit.__all__)
+    assert all(hasattr(quditkit, name) for name in quditkit.__all__)

@@ -1,5 +1,5 @@
-"""Kernel-level checks: products, adjoints, inner products, exponentials,
-and the incremental orthonormalization step."""
+"""Kernel-level checks: adjoints, inner products, exponentials, and the
+incremental orthonormalization step."""
 
 import numpy as np
 import pytest
@@ -8,82 +8,16 @@ from quditkit import (
     dagger,
     hs_inner,
     hs_norm,
-    mat_mul,
     matrix_exp,
     max_abs,
     orthonormal_extend,
     pauli,
     shift_matrix,
-    tensor_product,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class TestMatMul:
-    def test_identity(self):
-        eye = np.eye(3, dtype=complex)
-        assert max_abs(mat_mul(eye, eye) - eye) == 0
-
-    def test_pauli_involution(self):
-        assert max_abs(mat_mul(SIGMA1, SIGMA1) - np.eye(2)) == 0
-
-    def test_sigma1_sigma3_hand_product(self):
-        # row-by-column by hand: [[0*1+1*0, 0*0+1*(-1)], [1*1+0*0, 1*0+0*(-1)]]
-        expected = np.array([[0, -1], [1, 0]], dtype=complex)
-        assert max_abs(mat_mul(SIGMA1, SIGMA3) - expected) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_mul(np.eye(2), np.eye(3))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError, match="non-finite"):
-            mat_mul(bad, np.eye(2))
-
-
-class TestTensorProduct:
-    def test_identity_times_identity(self):
-        assert max_abs(tensor_product(np.eye(2), np.eye(2)) - np.eye(4)) == 0
-
-    def test_identity_first_is_block_diagonal(self):
-        got = tensor_product(pauli(0), SIGMA1)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = SIGMA1
-        expected[2:, 2:] = SIGMA1
-        assert max_abs(got - expected) == 0
-
-    def test_identity_second_is_anti_block(self):
-        got = tensor_product(SIGMA1, pauli(0))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, 2:] = np.eye(2)
-        expected[2:, :2] = np.eye(2)
-        assert max_abs(got - expected) == 0
-
-    def test_associative_exactly_on_exact_entries(self):
-        # small Gaussian integers multiply without rounding, so the two
-        # bracketings must agree to the bit
-        rng = np.random.default_rng(11)
-        a, b, c = (
-            rng.integers(-3, 4, (2, 2)) + 1j * rng.integers(-3, 4, (2, 2))
-            for _ in range(3)
-        )
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert np.array_equal(left, right)
-
-    def test_associative_within_rounding_generally(self):
-        rng = np.random.default_rng(12)
-        a, b, c = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(3)
-        )
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert max_abs(left - right) <= 1e-15
 
 
 class TestDagger:
@@ -185,6 +119,22 @@ class TestMatrixExp:
             x = a - a.conj().T
             u = matrix_exp(x)
             assert max_abs(u @ u.conj().T - np.eye(d)) <= 1e-11
+
+    @pytest.mark.parametrize("kind", ["hermitian", "antihermitian", "normal", "nonnormal"])
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_matches_scipy_expm(self, kind, d):
+        # scipy is not a dependency; where it is installed it is an independent reference
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(41 + d)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = {
+            "hermitian": a + a.conj().T,
+            "antihermitian": a - a.conj().T,
+            "normal": 1.7 * shift_matrix(d),  # normal, not Hermitian: the series path
+            "nonnormal": a,
+        }[kind]
+        reference = expm(x)
+        assert max_abs(matrix_exp(x) - reference) <= 1e-13 * max_abs(reference)
 
 
 class TestOrthonormalExtend:

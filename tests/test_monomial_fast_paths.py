@@ -510,6 +510,15 @@ class TestStackedPreprocessing:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
             prepare_generators(mats, REAL_ANTIHERMITIAN)
 
+    @pytest.mark.parametrize("entries", [
+        np.diag([1e308, 1e308]),  # the trace overflows
+        np.diag([1.5e308, -1.5e308, -1.5e308]),  # the finite trace's removal overflows
+    ], ids=["trace", "projection"])
+    def test_complex_mode_overflow_is_refused(self, entries):
+        mats = [entries, np.eye(len(entries), k=1)]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+            prepare_generators(mats, COMPLEX_TRACELESS)
+
     def test_hand_built_real_mode_sets_keep_the_check(self):
         skew = np.array([[0, 1], [-1, 0]], dtype=complex)
         with pytest.raises(ValueError, match=(

@@ -228,6 +228,15 @@ class TestIsUniversal:
         with pytest.raises(ValueError, match="expected l"):
             is_universal([np.eye(4)], 2, 1)
 
+    @pytest.mark.parametrize("mats,l,n,message", [
+        ([np.eye(4), shift_matrix(4)], 2, 3, r"^matrix 0 has dimension 4, expected l\^n = 8$"),
+        # the error prepare_generators raises; is_universal checks nothing before it
+        ([pauli(1), shift_matrix(3)], 2, 1, r"^matrix 1 has dimension 3, expected 2$"),
+    ], ids=["uniform", "mixed"])
+    def test_dimension_messages(self, mats, l, n, message):
+        with pytest.raises(ValueError, match=message):
+            is_universal(mats, l, n)
+
 
 class TestGateFromGenerator:
     def test_half_sigma1_quarter_turn(self):
