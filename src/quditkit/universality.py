@@ -17,7 +17,7 @@ import copy
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +47,8 @@ COMPLEX_TRACELESS = "complex-traceless"
 MODES = (REAL_ANTIHERMITIAN, COMPLEX_TRACELESS)
 
 _ANTIHERMITIAN_TOL = 1e-11
-# Commutators screened per block; bounds the screening workspaces at a few
-# _SCREEN_ROWS x d^2 arrays whatever the basis size.
+# Commutators screened per block; each block allocates a few _SCREEN_ROWS x d^2
+# temporaries whatever the basis size.
 _SCREEN_ROWS = 32
 # Seeds decomposed over the Weyl monomials, and matrices checked anti-Hermitian,
 # per block, for the same reason.
@@ -176,18 +176,21 @@ def prepare_generators(
     """
     stack = _stack_inputs(matrices)
     k, d = stack.shape[:2]
-    traces = np.trace(stack, axis1=1, axis2=2) / d
-    stack -= traces[:, None, None] * np.eye(d, dtype=complex)
+    # An overflow leaves non-finite entries, which _check_finite alone reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = np.trace(stack, axis1=1, axis2=2) / d
+        stack -= traces[:, None, None] * np.eye(d, dtype=complex)
     if mode != REAL_ANTIHERMITIAN:
         _check_finite(stack)
         return GeneratorSet(name=name, dim=d, matrices=tuple(stack), mode=mode)
     # written in place: temporaries of the whole stack cost more than the arithmetic
     split = np.empty((k, 2, d, d), dtype=complex)
     adjoint = split[:, 1]
-    np.conjugate(stack.transpose(0, 2, 1), out=adjoint)
-    np.add(stack, adjoint, out=split[:, 0])
-    split[:, 0] *= 1j
-    np.subtract(stack, adjoint, out=adjoint)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.conjugate(stack.transpose(0, 2, 1), out=adjoint)
+        np.add(stack, adjoint, out=split[:, 0])
+        split[:, 0] *= 1j
+        np.subtract(stack, adjoint, out=adjoint)
     # i(M + M*) and M - M* are exactly anti-Hermitian; only an overflow can fail the check
     _check_finite(split)
     return GeneratorSet._prepared(name, d, tuple(split.reshape(2 * k, d, d)), mode)
@@ -261,25 +264,26 @@ def closure(
     above ``tol``: two seeds spanning W(x) and W(y) that differ by 1e-8
     went to the dense engine that way.
 
-    Both engines run the same schedule.  Each round sweeps every element
-    added in the previous round (the frontier), in order, against the
-    elements present when that element's sweep began, less the frontier
-    elements before it, whose pairs an earlier sweep of the same round
-    already formed with the opposite sign.  The run stops when a round
-    adds nothing or the target dimension d^2 - 1 is reached, and
-    ``rounds`` counts the rounds.  The dense engine sweeps basis matrices
-    and inserts new ``[a, b] = a@b - b@a`` directions.  The monomial engine
-    sweeps monomial codes, seeded in the order the seeds first reach them,
-    and inserts ``x + y`` when it is new and the symplectic form is
-    nonzero; in real mode it inserts ``-(x + y)`` right after, since an
-    anti-Hermitian matrix with a component along ``W(z)`` has one along
-    ``W(-z)``.  When every seed is one monomial, as in complex mode for
-    phase-times-monomial inputs, the dense engine accepts those same
-    monomials in the same order and the two count the same rounds.  A
-    real-mode dense element mixes several pairs {z, -z}, and a cancellation
-    among them can delay a direction by a round, so there the counts can
-    differ; they agree on every named set with d <= 16.  Processing order
-    is deterministic, so identical inputs yield identical bases.
+    Both engines run the same schedule, :func:`_run_rounds`.  Each round
+    sweeps every element added in the previous round (the frontier), in
+    order, against the elements present when that element's sweep began,
+    less the frontier elements before it, whose pairs an earlier sweep of
+    the same round already formed with the opposite sign.  The run stops
+    when a round adds nothing or the target dimension d^2 - 1 is reached,
+    and ``rounds`` counts the rounds.  The dense engine sweeps basis
+    matrices and inserts new ``[a, b] = a@b - b@a`` directions.  The
+    monomial engine sweeps monomial codes, seeded in the order the seeds
+    first reach them, and inserts ``x + y`` when it is new and the
+    symplectic form is nonzero; in real mode it inserts ``-(x + y)`` right
+    after, since an anti-Hermitian matrix with a component along ``W(z)``
+    has one along ``W(-z)``.  When every seed is one monomial, as in
+    complex mode for phase-times-monomial inputs, the dense engine accepts
+    those same monomials in the same order and the two count the same
+    rounds.  A real-mode dense element mixes several pairs {z, -z}, and a
+    cancellation among them can delay a direction by a round, so there the
+    counts can differ; they agree on every named set with d <= 16.
+    Processing order is deterministic, so identical inputs yield identical
+    bases.
 
     The dense engine's basis is the Gram-Schmidt basis it grew.  Commutators
     whose norm does not exceed ``tol`` are treated as zero.  The rest are
@@ -362,19 +366,29 @@ def _round_cap(gen_set: GeneratorSet, max_rounds: Optional[int], tol: float) -> 
 
 def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
     target = builder.d * builder.d - 1
+    rounds = _run_rounds(builder.size, builder.sweep, target, max_rounds)
+    return _result(builder.basis(), target, rounds, builder.tol, "dense")
+
+
+def _run_rounds(size: int, sweep: Callable[[int, int], int], target: int, max_rounds: int) -> int:
+    """Run the round schedule of :func:`closure` on ``size`` elements; return the rounds run.
+
+    ``sweep(i, frontier_start)`` adds the new directions among the pairs of
+    element ``i`` (see :func:`closure`) and returns the size after them.
+    """
     rounds = 0
     frontier_start = 0
-    while frontier_start < builder.size < target:
+    while frontier_start < size < target:
         if rounds == max_rounds:
-            raise _non_convergence(max_rounds, builder.size, target)
+            raise _non_convergence(max_rounds, size, target)
         rounds += 1
-        frontier_end = builder.size
+        frontier_end = size
         for i in range(frontier_start, frontier_end):
-            builder.sweep(i, frontier_start, target)
-            if builder.size == target:
+            size = sweep(i, frontier_start)
+            if size == target:
                 break
         frontier_start = frontier_end
-    return _result(builder.basis(), target, rounds, builder.tol, "dense")
+    return rounds
 
 
 def _non_convergence(max_rounds: int, size: int, target: int) -> NonConvergenceError:
@@ -529,31 +543,26 @@ def _monomial_closure(
     codes[:size] = seed_codes
     rows[:size] = digits[seed_codes]
     member[seed_codes] = True
-    rounds = 0
-    frontier_start = 0
-    while frontier_start < size < target:
-        if rounds == max_rounds:
-            raise _non_convergence(max_rounds, size, target)
-        rounds += 1
-        frontier_end = size
-        for i in range(frontier_start, frontier_end):
-            x = rows[i]
-            # [W(x), W(y)] is a nonzero multiple of W(x + y) iff the symplectic
-            # form a_y.b_x - b_y.a_x = y.Jx is nonzero mod l
-            jx = np.concatenate((-x[n:], x[:n]))
-            y = np.concatenate((rows[:frontier_start], rows[i + 1:size]))
-            omega = (y @ jx) % l
-            sums = ((x + y) % l) @ weights
-            new = sums[(omega != 0) & ~member[sums]]
-            if neg is not None and new.size:
-                new = _with_negations(new, neg, position)
-            member[new] = True
-            codes[size:size + len(new)] = new
-            rows[size:size + len(new)] = digits[new]
-            size += len(new)
-            if size == target:
-                break
-        frontier_start = frontier_end
+
+    def sweep(i: int, frontier_start: int) -> int:
+        nonlocal size
+        x = rows[i]
+        # [W(x), W(y)] is a nonzero multiple of W(x + y) iff the symplectic
+        # form a_y.b_x - b_y.a_x = y.Jx is nonzero mod l
+        jx = np.concatenate((-x[n:], x[:n]))
+        y = np.concatenate((rows[:frontier_start], rows[i + 1:size]))
+        omega = (y @ jx) % l
+        sums = ((x + y) % l) @ weights
+        new = sums[(omega != 0) & ~member[sums]]
+        if neg is not None and new.size:
+            new = _with_negations(new, neg, position)
+        member[new] = True
+        codes[size:size + len(new)] = new
+        rows[size:size + len(new)] = digits[new]
+        size += len(new)
+        return size
+
+    rounds = _run_rounds(size, sweep, target, max_rounds)
     return _result(_MonomialBasis(l, n, codes[:size], mode), target, rounds, tol, "monomial")
 
 
@@ -652,13 +661,13 @@ def _monomial_matrices(
 
 
 class _BasisBuilder:
-    """The growing orthonormal basis of one closure run and its screening buffers.
+    """The growing orthonormal basis of one closure run.
 
     The basis fills the leading rows of one complex (capacity, d, d) array
     that doubles when full, up to d^2 rows, so its memory follows the
-    achieved dimension rather than d^2.  The buffers hold one block of
-    ``_SCREEN_ROWS`` commutators and are reused for every block; the first
-    sweep allocates them, so seeding alone does not.
+    achieved dimension rather than d^2.  The screen keeps no buffers: each
+    block of ``_SCREEN_ROWS`` commutators allocates a few ``_SCREEN_ROWS x
+    d^2`` temporaries, freed when the block is done.
 
     In real mode (``real``) the sweeps run on d^2 real coordinates per
     element (see :meth:`_encode`), held in a second, (capacity, d^2) float64
@@ -676,17 +685,6 @@ class _BasisBuilder:
         self.rows = np.empty((min(d * d, _SCREEN_ROWS), d, d), dtype=complex)
         self.coords = None  # real mode: the coordinates, from the first sweep on
         self.decoded = 0  # real mode: rows[:decoded] are decoded from coords
-        self.comm = None  # the screening buffers, allocated by the first sweep
-
-    def _allocate_screen(self) -> None:
-        d = self.d
-        kind = float if self.real else complex
-        self.comm = np.empty((_SCREEN_ROWS, d, d), dtype=complex)
-        # a block's commutators: their coordinates in real mode, else the matrices
-        self.cand = np.empty((_SCREEN_ROWS, d * d)) if self.real else self.comm.reshape(_SCREEN_ROWS, -1)
-        self.prod = np.empty((_SCREEN_ROWS, d * d), dtype=kind)
-        self.resid = np.empty((_SCREEN_ROWS, d * d), dtype=kind)
-        self.coef = np.empty(_SCREEN_ROWS * d * d, dtype=kind)
 
     def elements(self) -> np.ndarray:
         return self.rows[: self.size]
@@ -755,8 +753,8 @@ class _BasisBuilder:
         np.copyto(im, w)
         np.copyto(im, wt, where=self.upper)
 
-    def sweep(self, i: int, frontier_start: int, target: int) -> None:
-        """Add the new directions among the commutators of element ``i``; stop at ``target``.
+    def sweep(self, i: int, frontier_start: int) -> int:
+        """Add the new directions among the commutators of element ``i``; return the size.
 
         Partners are the ``n`` elements present when the sweep starts, less
         ``frontier_start..i``: ``[b_i, b_i] = 0``, and the frontier elements
@@ -770,65 +768,43 @@ class _BasisBuilder:
         order by :meth:`admit`.  Screening one commutator against k basis
         elements of d^2 entries costs O(k d^2), and a universal run screens
         O(d^4) commutators against up to d^2 - 1 elements: O(d^8) overall.
+        The sweep stops once the basis reaches the target dimension d^2 - 1.
         """
-        if self.comm is None:
-            self._allocate_screen()
         self._sync()
         n = self.size
+        target = self.d * self.d - 1
         for lo, hi in ((0, frontier_start), (i + 1, n)):
             for start in range(lo, hi, _SCREEN_ROWS):
                 if self._sweep_block(i, start, min(hi, start + _SCREEN_ROWS), target):
-                    return
+                    return self.size
+        return self.size
 
     def _sweep_block(self, i: int, start: int, stop: int, target: int) -> bool:
         """Screen and admit ``[b_i, b_j]`` for ``start <= j < stop``; True once at ``target``."""
-        rows = stop - start
         a = self.rows[i]
         block = self.rows[start:stop]
-        comm = self.cand[:rows]
-        np.matmul(a, block, out=self.comm[:rows])
         if self.real:
             # [a, b] = ab - (ab)^H for anti-Hermitian a and b
-            self._encode(self.comm[:rows], comm)
+            comm = np.empty((stop - start, self.d * self.d))
+            self._encode(a @ block, comm)
         else:
-            np.matmul(block, a, out=self.prod.reshape(_SCREEN_ROWS, self.d, self.d)[:rows])
-            comm -= self.prod[:rows]
+            comm = (a @ block - block @ a).reshape(stop - start, -1)
         norms = _row_norms(comm)
         live = np.flatnonzero(norms > self.tol)
         if not live.size:
             return False
         k = self.size
         flat = self._flat()[:k]
-        resid = self.resid[: live.size]
-        np.take(comm, live, axis=0, out=resid)
-        self._project(resid, flat)
+        resid = _project(comm[live], flat)
         norms = norms[live]
         keep = np.flatnonzero(_row_norms(resid) > self.tol * norms)
         if not keep.size:
             return False
-        survivors = self.resid[: keep.size]
-        survivors[:] = resid[keep]
-        self._project(survivors, flat)
-        for s, norm in zip(survivors, norms[keep]):
+        for s, norm in zip(_project(resid[keep], flat), norms[keep]):
             self.admit(s, norm, k)
             if self.size == target:
                 return True
         return False
-
-    def _project(self, resid: np.ndarray, flat: np.ndarray) -> None:
-        """One block Gram-Schmidt pass: ``resid -= (resid B^H) B`` with B the rows of ``flat``."""
-        m, k = len(resid), len(flat)
-        prod = self.prod[:m]
-        coef = self.coef[: m * k].reshape(m, k)
-        if self.real:
-            np.matmul(resid, flat.T, out=coef)
-        else:
-            # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
-            np.conjugate(resid, out=prod)
-            np.matmul(prod, flat.T, out=coef)
-            np.conjugate(coef, out=coef)
-        np.matmul(coef, flat, out=prod)
-        resid -= prod
 
     def admit(self, residual: np.ndarray, norm: float, k: int) -> None:
         """Add a screened commutator if its residual exceeds ``tol * norm``.
@@ -843,6 +819,12 @@ class _BasisBuilder:
         rnorm = np.linalg.norm(residual)
         if rnorm > self.tol * norm:
             self._append(residual / rnorm)
+
+
+def _project(resid: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """One block Gram-Schmidt pass: ``resid - (resid B^H) B`` with B the rows of ``flat``."""
+    # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
+    return resid - np.conj(np.conj(resid) @ flat.T) @ flat
 
 
 def _grown(array: np.ndarray, filled: int, needed: int) -> np.ndarray:

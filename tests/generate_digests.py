@@ -4,8 +4,9 @@ Run from the repository root to rewrite ``tests/data/generate_digests.json``:
 
     PYTHONPATH=src python tests/generate_digests.py
 
-The grid covers each named set on small (l, n) and ``qft`` with and without
-``--normalized``; ``tests/test_clifford.py`` checks the files still match.
+The grid covers each named set on small (l, n), ``qft`` with and without
+``--normalized``, and ``weyl-pair`` and ``tau`` at l = 2, 3, 4, 5, 7;
+``tests/test_clifford.py`` checks the files still match.
 """
 
 import contextlib
@@ -35,6 +36,9 @@ def generate_cases():
     for l in (2, 3, 5, 7):
         yield ["--set", "qft", "--dim", str(l)]
         yield ["--set", "qft", "--dim", str(l), "--normalized"]
+    for name in ("weyl-pair", "tau"):
+        for l in (2, 3, 4, 5, 7):
+            yield ["--set", name, "--dim", str(l)]
 
 
 def digest_case(argv):

@@ -19,6 +19,7 @@ from quditkit import (
     GENERATOR_SET_NAMES,
     MODES,
     GeneratorSet,
+    NonConvergenceError,
     REAL_ANTIHERMITIAN,
     closure,
     max_abs,
@@ -219,6 +220,32 @@ def test_random_monomial_sets_agree_with_dense(case):
         assert result.rounds == dense.rounds
     assert_same_span(result, dense)
     assert_monomial_basis(result, mode)
+
+
+ROUND_CAP_SETS = [
+    ("qudit-universal", 3, 1), ("qudit-universal", 2, 2), ("qudit-universal", 4, 1),
+    ("clifford-universal", 2, 2), ("generalized", 3, 1), ("canonical", 2, 2),
+    ("canonical", 3, 1), ("biproducts", 2, 3),
+]
+
+
+def _capped(engine, gen, max_rounds):
+    try:
+        result = engine(gen, max_rounds=max_rounds)
+    except NonConvergenceError as exc:
+        return str(exc)
+    return result.achieved_dim, result.rounds
+
+
+@pytest.mark.parametrize("max_rounds", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("name,l,n", ROUND_CAP_SETS)
+def test_engines_agree_under_a_round_cap(name, l, n, max_rounds):
+    # Both engines run one round schedule, and complex-mode seeds of these
+    # sets are single monomials: the engines stop, or give up, at the same
+    # round with the same dimension.
+    gen = prepare_generators(named_generator_set(name, l, n), COMPLEX_TRACELESS)
+    assert closure(gen).engine == "monomial"
+    assert _capped(closure, gen, max_rounds) == _capped(_dense_closure, gen, max_rounds)
 
 
 @_property

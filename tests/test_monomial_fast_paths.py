@@ -507,7 +507,7 @@ class TestStackedPreprocessing:
     ])
     def test_real_mode_overflow_is_refused(self, entries):
         mats = [np.eye(2), np.array(entries)]
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
             prepare_generators(mats, REAL_ANTIHERMITIAN)
 
     @pytest.mark.parametrize("entries", [
@@ -516,7 +516,7 @@ class TestStackedPreprocessing:
     ], ids=["trace", "projection"])
     def test_complex_mode_overflow_is_refused(self, entries):
         mats = [entries, np.eye(len(entries), k=1)]
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
             prepare_generators(mats, COMPLEX_TRACELESS)
 
     def test_hand_built_real_mode_sets_keep_the_check(self):
