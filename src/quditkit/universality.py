@@ -285,6 +285,23 @@ def closure(
     Processing order is deterministic, so identical inputs yield identical
     bases.
 
+    The dense engine stops early.  The algebra generated by a set S is
+    spanned by the right-nested brackets ``[s1, [s2, ... sk]]``, s_i in S,
+    so it is the smallest subspace that holds S and that every ``[s, .]``,
+    s in S, maps into itself.  After a sweep that adds nothing, if the
+    basis grew since the last such check, the engine forms ``[b_s, b_j]``
+    for every seed element b_s (the orthonormalized seeds span S) and every
+    basis element b_j; when none passes the screen's first pass below, the
+    span is the algebra and no later sweep can add to it.  The run then
+    stops with the rounds the full schedule counts: r + 1 if the current
+    round r grew, r otherwise, and the same :class:`NonConvergenceError`
+    if r + 1 passes ``max_rounds``.  A check that succeeds screens as many
+    commutators as one sweep per seed element; the newest elements go first,
+    so one that fails usually stops in its first block.  A real-mode 12+12
+    block pair (287 of 575) reaches its dimension at its 8th sweep and now
+    stops after the 9th; the full schedule runs 287.  The monomial engine's
+    sweeps are integer operations and run in full.
+
     The dense engine's basis is the Gram-Schmidt basis it grew.  Commutators
     whose norm does not exceed ``tol`` are treated as zero.  The rest are
     screened in blocks by one block Gram-Schmidt pass against the basis:
@@ -366,27 +383,53 @@ def _round_cap(gen_set: GeneratorSet, max_rounds: Optional[int], tol: float) -> 
 
 def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
     target = builder.d * builder.d - 1
-    rounds = _run_rounds(builder.size, builder.sweep, target, max_rounds)
+    closed = functools.partial(builder.closed, builder.size)  # the seeds lead the basis
+    rounds = _run_rounds(builder.size, builder.sweep, target, max_rounds, closed)
     return _result(builder.basis(), target, rounds, builder.tol, "dense")
 
 
-def _run_rounds(size: int, sweep: Callable[[int, int], int], target: int, max_rounds: int) -> int:
+def _run_rounds(
+    size: int,
+    sweep: Callable[[int, int], int],
+    target: int,
+    max_rounds: int,
+    closed: Optional[Callable[[], bool]] = None,
+) -> int:
     """Run the round schedule of :func:`closure` on ``size`` elements; return the rounds run.
 
     ``sweep(i, frontier_start)`` adds the new directions among the pairs of
     element ``i`` (see :func:`closure`) and returns the size after them.
+
+    ``closed()``, if given, tells whether no later sweep can add anything.
+    It is asked only after a sweep that added nothing, and only when the
+    size grew since it was last asked (or since the start).  When it is
+    true the schedule stops with the rounds the full schedule would count:
+    the current round r runs to its end adding nothing, and if it grew,
+    round r + 1 sweeps its new elements and adds nothing, so the count is
+    r + 1 if round r grew and r otherwise.  If r + 1 would pass
+    ``max_rounds``, the full schedule's :class:`NonConvergenceError` is
+    raised, with the same text.
     """
     rounds = 0
     frontier_start = 0
+    checked = size
     while frontier_start < size < target:
         if rounds == max_rounds:
             raise _non_convergence(max_rounds, size, target)
         rounds += 1
         frontier_end = size
         for i in range(frontier_start, frontier_end):
+            before = size
             size = sweep(i, frontier_start)
             if size == target:
                 break
+            if closed is not None and size == before and size > checked:
+                checked = size
+                if closed():
+                    grew = size > frontier_end
+                    if grew and rounds == max_rounds:
+                        raise _non_convergence(max_rounds, size, target)
+                    return rounds + grew
         frontier_start = frontier_end
     return rounds
 
@@ -781,6 +824,19 @@ class _BasisBuilder:
 
     def _sweep_block(self, i: int, start: int, stop: int, target: int) -> bool:
         """Screen and admit ``[b_i, b_j]`` for ``start <= j < stop``; True once at ``target``."""
+        k = self.size
+        resid, norms = self._screen(i, start, stop)
+        if not len(norms):
+            return False
+        for s, norm in zip(_project(resid, self._flat()[:k]), norms):
+            self.admit(s, norm, k)
+            if self.size == target:
+                return True
+        return False
+
+    def _screen(self, i: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(residuals, norms)`` of the ``[b_i, b_j]``, ``start <= j < stop``, that
+        pass the first screening pass (see :meth:`sweep`), in order."""
         a = self.rows[i]
         block = self.rows[start:stop]
         if self.real:
@@ -790,21 +846,31 @@ class _BasisBuilder:
         else:
             comm = (a @ block - block @ a).reshape(stop - start, -1)
         norms = _row_norms(comm)
-        live = np.flatnonzero(norms > self.tol)
-        if not live.size:
-            return False
-        k = self.size
-        flat = self._flat()[:k]
-        resid = _project(comm[live], flat)
-        norms = norms[live]
-        keep = np.flatnonzero(_row_norms(resid) > self.tol * norms)
-        if not keep.size:
-            return False
-        for s, norm in zip(_project(resid[keep], flat), norms[keep]):
-            self.admit(s, norm, k)
-            if self.size == target:
-                return True
-        return False
+        live = norms > self.tol
+        resid, norms = comm[live], norms[live]
+        if len(norms):
+            resid = _project(resid, self._flat()[:self.size])
+            keep = _row_norms(resid) > self.tol * norms
+            resid, norms = resid[keep], norms[keep]
+        return resid, norms
+
+    def closed(self, seeds: int) -> bool:
+        """Whether the span is closed under ``[b_s, .]`` for the first ``seeds`` elements.
+
+        The first ``seeds`` elements span the seeds S, and the algebra S
+        generates is the smallest subspace holding S that every ``[s, .]``,
+        s in S, maps into itself.  So when no ``[b_s, b_j]`` passes the
+        first screening pass, the span is that algebra and no later sweep
+        admits anything.  The partners j go newest first, in blocks of
+        ``_SCREEN_ROWS``, each against every seed, and the check stops at
+        the first commutator that passes.
+        """
+        self._sync()
+        for stop in range(self.size, 0, -_SCREEN_ROWS):
+            for s in range(seeds):
+                if len(self._screen(s, max(0, stop - _SCREEN_ROWS), stop)[1]):
+                    return False
+        return True
 
     def admit(self, residual: np.ndarray, norm: float, k: int) -> None:
         """Add a screened commutator if its residual exceeds ``tol * norm``.

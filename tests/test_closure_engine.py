@@ -1,5 +1,6 @@
 """The batched (dense) closure engine against the sequential reference, its
-tolerance robustness, and its independence of the BLAS thread count.
+early stop, its tolerance robustness, and its independence of the BLAS
+thread count.
 
 The named and acceptance sets are Weyl-monomial sets, on which ``closure``
 runs the monomial engine, so the comparisons with the reference call the
@@ -17,6 +18,7 @@ from closure_reference import reference_closure, reference_extend
 from quditkit import (
     COMPLEX_TRACELESS,
     REAL_ANTIHERMITIAN,
+    NonConvergenceError,
     biproducts,
     clifford_generators,
     closure,
@@ -28,7 +30,7 @@ from quditkit import (
     universal_augmentation,
 )
 from quditkit.serialize import save_matrix
-from quditkit.universality import _dense_closure
+from quditkit.universality import _dense_closure, _run_rounds
 
 # (label, matrices, achieved dim): the acceptance suite's seven sets.
 ACCEPTANCE_SETS = [
@@ -75,9 +77,15 @@ def _flat(basis):
     return np.stack(basis).reshape(len(basis), -1)
 
 
-def assert_same_closure(gen):
-    new = _dense_closure(gen)
-    ref = reference_closure(gen)
+def assert_same_closure(gen, max_rounds=None):
+    try:
+        ref = reference_closure(gen, max_rounds=max_rounds)
+    except NonConvergenceError as raised:
+        with pytest.raises(NonConvergenceError) as ours:
+            _dense_closure(gen, max_rounds=max_rounds)
+        assert str(ours.value) == str(raised)
+        return
+    new = _dense_closure(gen, max_rounds=max_rounds)
     assert (new.achieved_dim, new.rounds, new.universal) == (
         ref.achieved_dim, ref.rounds, ref.universal
     )
@@ -140,6 +148,131 @@ class TestAgainstReference:
         basis = _flat(new.basis)
         gram = basis.conj() @ basis.T
         assert max_abs(gram - np.eye(len(basis))) <= 1e-14
+
+
+def _random_triple(seed, d):
+    rng = np.random.default_rng(seed)
+    return [_complex_gaussian(rng, d) for _ in range(3)]
+
+
+class TestEarlyStop:
+    """The dense engine stops once its span is closed under brackets with the seeds."""
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
+    @pytest.mark.parametrize("seed,a,b", [(71, 2, 2), (72, 3, 3), (73, 2, 5), (74, 4, 4)])
+    def test_block_pairs_against_reference(self, seed, a, b, mode, max_rounds):
+        assert_same_closure(prepare_generators(_block_pair(seed, a, b), mode), max_rounds)
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
+    @pytest.mark.parametrize("seed,d", [(81, 2), (82, 3), (83, 4)])
+    def test_random_triples_against_reference(self, seed, d, mode, max_rounds):
+        assert_same_closure(prepare_generators(_random_triple(seed, d), mode), max_rounds)
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (4, 4), (3, 7), (6, 6), (8, 8), (12, 12)])
+    def test_block_pair_dimension(self, a, b):
+        # su(a) + su(b) + the relative phase
+        result = _dense_closure(prepare_generators(_block_pair(300 + a + b, a, b), REAL_ANTIHERMITIAN))
+        assert (result.achieved_dim, result.universal) == (a * a + b * b - 1, False)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _random_pair(91, 3), lambda: _random_pair(92, 5), lambda: _random_pair(93, 8),
+         lambda: _random_triple(94, 4), lambda: _block_pair(95, 2, 2), lambda: _block_pair(96, 3, 5),
+         lambda: _block_pair(97, 4, 4), lambda: _block_pair(98, 6, 6)],
+        ids=["pair-3", "pair-5", "pair-8", "triple-4", "block-2-2", "block-3-5", "block-4-4", "block-6-6"],
+    )
+    def test_real_dimension_is_complex_dimension_of_the_split(self, make):
+        # The real algebra g of anti-Hermitian matrices has g + ig as its
+        # complexification, a direct sum since ig is Hermitian, so the
+        # complex algebra of the same matrices has dim_C = dim_R g.
+        split = prepare_generators(make(), REAL_ANTIHERMITIAN)
+        real = _dense_closure(split)
+        complex_ = _dense_closure(prepare_generators(split.matrices, COMPLEX_TRACELESS))
+        assert real.achieved_dim == complex_.achieved_dim
+
+    @pytest.mark.parametrize("mode,rounds", [(REAL_ANTIHERMITIAN, 3), (COMPLEX_TRACELESS, 4)])
+    def test_closed_block_pair_skips_its_idle_sweeps(self, mode, rounds, monkeypatch):
+        # The 6+6 pair reaches 71 within a few sweeps; the full schedule then
+        # sweeps nearly all of the 71 elements without admitting anything.
+        from quditkit import universality
+
+        sweeps = []
+        sweep = universality._BasisBuilder.sweep
+
+        def counting_sweep(self, *args):
+            sweeps.append(args)
+            return sweep(self, *args)
+
+        monkeypatch.setattr(universality._BasisBuilder, "sweep", counting_sweep)
+        result = _dense_closure(prepare_generators(_block_pair(43, 6, 6), mode))
+        assert (result.achieved_dim, result.rounds) == (71, rounds)
+        assert len(sweeps) < 20
+
+
+class _Script:
+    """A scripted round schedule: element i's sweep adds ``growth[i]`` elements
+    the first time it runs, and ``closed()`` gives the ``answers`` in turn."""
+
+    def __init__(self, size, growth, answers=()):
+        self.size = size
+        self.growth = dict(growth)
+        self.answers = list(answers)
+        self.log = []
+
+    def sweep(self, i, frontier_start):
+        self.log.append(("sweep", i))
+        self.size += self.growth.pop(i, 0)
+        return self.size
+
+    def closed(self):
+        self.log.append(("closed", self.size))
+        return self.answers.pop(0)
+
+
+def _scripted_rounds(size, growth, answers, max_rounds=10, target=100):
+    """``_run_rounds`` with ``closed``, and the full schedule, on the same script."""
+    early, full = _Script(size, growth, answers), _Script(size, growth)
+    outcomes = []
+    for script, closed in ((early, early.closed), (full, None)):
+        try:
+            outcomes.append(_run_rounds(script.size, script.sweep, target, max_rounds, closed))
+        except NonConvergenceError as raised:
+            outcomes.append(str(raised))
+    return outcomes, early.log
+
+
+class TestRunRounds:
+    def test_round_that_grew_counts_the_next_round(self):
+        # round 1 grows to 5 at element 0; the check after element 1 succeeds
+        (early, full), log = _scripted_rounds(2, {0: 3}, [True])
+        assert early == full == 2
+        assert log == [("sweep", 0), ("sweep", 1), ("closed", 5)]
+
+    def test_round_that_did_not_grow_counts_itself(self):
+        # round 1 grows at its last element; round 2 adds nothing
+        (early, full), log = _scripted_rounds(2, {1: 2}, [True])
+        assert early == full == 2
+        assert log == [("sweep", 0), ("sweep", 1), ("sweep", 2), ("closed", 4)]
+
+    def test_cap_gives_the_full_schedules_error(self):
+        (early, full), log = _scripted_rounds(2, {0: 3}, [True], max_rounds=1)
+        assert early == full == "basis still growing after 1 rounds (dimension 5 of 100); revisit the tolerance"
+        assert log[-1] == ("closed", 5)
+
+    def test_checks_only_after_growth(self):
+        # A failed check is not repeated until the basis grows again, and a
+        # sweep that grows is never followed by a check.
+        (early, full), log = _scripted_rounds(3, {0: 1, 3: 1}, [False, True])
+        assert early == full == 3
+        assert log == [("sweep", 0), ("sweep", 1), ("closed", 4), ("sweep", 2),
+                       ("sweep", 3), ("sweep", 4), ("closed", 5)]
+
+    def test_growth_at_every_sweep_never_checks(self):
+        (early, full), log = _scripted_rounds(2, {i: 1 for i in range(97)}, [], target=99)
+        assert early == full
+        assert all(entry[0] == "sweep" for entry in log)
 
 
 class TestScreen:

@@ -43,6 +43,7 @@ from quditkit import (
 from quditkit import cli
 from quditkit.serialize import load_matrix
 from quditkit.universality import (
+    _dense_closure,
     _factorizations,
     _first_reached,
     _kept_seeds,
@@ -255,6 +256,21 @@ class TestEngineChoice:
         mats = _phased(*DUST_CASE_2)
         mats[0] = mats[0] + 1e-12 * _monomial(4, 2, y)
         assert_same_routing(prepare_generators(mats, mode), tol)
+
+    # The dense engine stops once its span is closed under brackets with the
+    # seeds, before its late sweeps take dust for directions; it then agrees
+    # with closure.  DUST_CASE_1 at 1e-11 still reaches 255 on it.
+    @pytest.mark.parametrize("tol", [1e-7, 1e-9])
+    def test_dense_engine_on_dust_case_1(self, tol):
+        result = _dense_closure(prepare_generators(_phased(*DUST_CASE_1), REAL_ANTIHERMITIAN), tol=tol)
+        assert (result.achieved_dim, result.rounds) == (60, 3)
+
+    @pytest.mark.parametrize("y", [102, 238])
+    def test_dense_engine_on_dust_case_2(self, y):
+        mats = _phased(*DUST_CASE_2)
+        mats[0] = mats[0] + 1e-12 * _monomial(4, 2, y)
+        result = _dense_closure(prepare_generators(mats, REAL_ANTIHERMITIAN), tol=1e-13)
+        assert (result.achieved_dim, result.rounds) == (12, 2)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_all_zero_input(self, mode):
