@@ -190,22 +190,11 @@ def _single_system_checks(add, l: int) -> None:
         1e-11,
     )
 
-    # The commutators of one left monomial with all l^2 right ones form one
-    # (l^2, l, l) block, decomposed by one FFT call; all l^4 at once would
-    # cost l^6 complex entries.  Row q of the block's (l^2, l^2) table must
-    # hold the closed-form coefficient at the target code and zero elsewhere.
-    coefficients, targets = _closed_form_table(l)
-    right = np.arange(l * l)
-    closed_form = 0.0
-    for p, left in enumerate(monomials):
-        tables = weyl._decompose(left @ monomials - monomials @ left, l, 1).reshape(l * l, l * l)
-        tables[right, targets[p]] -= coefficients[p]
-        closed_form = max(closed_form, max_abs(tables))
     add(
         "commutator-closed-form",
         "[W(a,b), W(c,d)] = (zeta^(-bc) - zeta^(-ad)) W(a+c, b+d)",
         f"l={l}",
-        closed_form,
+        _closed_form_residual(monomials, l),
         1e-12,
     )
 
@@ -241,6 +230,48 @@ def _single_system_checks(add, l: int) -> None:
     )
 
 
+# Commutator entries formed at once: one shift a per block, with as many
+# clock powers b as fit, at least one (l^3 entries)
+_CLOSED_FORM_BLOCK = 1 << 14
+
+
+def _closed_form_residual(monomials: np.ndarray, l: int) -> float:
+    """Max residual of the commutator closed form over all pairs of ``monomials``.
+
+    W(a, b) is read on its wrapped diagonal of shift a, in column order
+    ``diag[a, b][j] = W(a, b)[j - a, j]`` (indices mod l); any entry off it
+    counts in full.  On the diagonal of shift a + c, W(a, b) W(c, d) holds
+    ``diag[a, b][j - c] * diag[c, d][j]`` and W(c, d) W(a, b) holds
+    ``diag[c, d][j - a] * diag[a, b][j]``, so one FFT of their difference
+    gives the commutator's coefficients: O(l^5 log l) for all pairs.
+    """
+    coefficients, targets = (t.reshape((l,) * 4) for t in _closed_form_table(l))
+    # rolls[s, j] = j - s mod l, the row of column j on the diagonal of shift s
+    rolls, columns = weyl._wrapped_diagonals(l)
+    support = (np.arange(l * l)[:, None], np.repeat(rolls, l, axis=0), columns)
+    diag = monomials[support].reshape(l, l, l)
+    magnitudes = np.abs(monomials)
+    magnitudes[support] = 0.0
+    residual = float(magnitudes.max())
+    per_block = max(1, _CLOSED_FORM_BLOCK // l**3)
+    for a in range(l):
+        # [W(c, d), W(a, b)] subtracts the same two products the other way and
+        # has the negated closed form, so its table is exactly the negated one
+        c = slice(a, l)
+        right = diag[c, :, rolls[a]]
+        for b0 in range(0, l, per_block):
+            b = slice(b0, b0 + per_block)
+            left = diag[a, b]
+            # both products, indexed [b, c, d, j]
+            forward = left[:, rolls[c]][:, :, None, :] * diag[c]
+            backward = right * left[:, None, None, :]
+            tables = weyl._diagonal_coefficients(forward - backward, l, 1).reshape(-1, l)
+            clocks = targets[a, b, c].ravel() % l
+            tables[np.arange(len(tables)), clocks] -= coefficients[a, b, c].ravel()
+            residual = max(residual, max_abs(tables))
+    return residual
+
+
 def _closed_form_table(l: int) -> Tuple[np.ndarray, np.ndarray]:
     """Closed form of every monomial commutator at order l, as two (l^2, l^2) arrays.
 
@@ -252,12 +283,10 @@ def _closed_form_table(l: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     root = weyl.RootOfUnity(l)
     powers = np.array([root.zeta_power(k) for k in range(l)])
-    shifts, clocks = np.divmod(np.arange(l * l), l)
-    a, b = shifts[:, None], clocks[:, None]
-    c, d = shifts[None, :], clocks[None, :]
+    a, b, c, d = np.ix_(*(np.arange(l),) * 4)
     coefficients = powers[(-b * c) % l] - powers[(-a * d) % l]
     targets = ((a + c) % l) * l + (b + d) % l
-    return coefficients, targets
+    return coefficients.reshape(l * l, l * l), targets.reshape(l * l, l * l)
 
 
 def _clifford_checks(add, n: int) -> None:

@@ -3,14 +3,23 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditkit.weyl
 from quditkit import run_verification, weyl_commutator_coefficient
-from quditkit.verify import DEFAULT_DIMS, DEFAULT_SITES, VerifyCheck, _closed_form_table
-from weyl_reference import reference_closed_form_residual
+from quditkit.verify import (
+    _CLOSED_FORM_BLOCK,
+    DEFAULT_DIMS,
+    DEFAULT_SITES,
+    VerifyCheck,
+    _closed_form_residual,
+    _closed_form_table,
+)
+from weyl_reference import blocked_closed_form_residual, reference_closed_form_residual
 
 
 def test_default_grid_passes():
@@ -100,15 +109,30 @@ def test_report_independent_of_blas_threads():
     assert outputs[0].endswith(b"overall: pass\n")
 
 
-def _closed_form_residual(l):
+def _checked_closed_form(l):
     report = run_verification(dims=(l,), sites=(1,))
     (check,) = [c for c in report.checks if c.name == "commutator-closed-form"]
-    return check.residual
+    return check
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8, 9, 16])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 16])
 def test_closed_form_residual_matches_per_commutator_reference_exactly(l):
-    assert _closed_form_residual(l) == reference_closed_form_residual(l)
+    assert _checked_closed_form(l).residual == reference_closed_form_residual(l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 10, 12, 14, 15, 18])
+def test_closed_form_residual_matches_blocked_reference_exactly(l):
+    assert _checked_closed_form(l).residual == blocked_closed_form_residual(l)
+
+
+@pytest.mark.parametrize("l", [17, 19])
+def test_closed_form_residual_within_one_rounding_of_blas_products(l):
+    # The dense references take each product W(p) W(q) from the BLAS, whose
+    # kernels fuse some of the complex multiplications that numpy rounds
+    # step by step.  At these orders that moves the max residual in its last
+    # digits (1.4697e-15 against 1.4603e-15 at l=17), less than one rounding
+    # of a unit product.
+    assert abs(_checked_closed_form(l).residual - blocked_closed_form_residual(l)) <= 2.0**-52
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8, 9])
@@ -122,20 +146,68 @@ def test_closed_form_table_matches_scalar_closed_form(l):
             assert divmod(int(targets[p, q]), l) == target
 
 
-def test_closed_form_check_decomposes_one_block_per_left_monomial(monkeypatch):
-    l = 5
-    kernel = quditkit.weyl._decompose
-    calls = []
+def test_closed_form_workspace_is_bounded_by_the_block():
+    l = 24
+    monomials = np.stack(
+        [quditkit.weyl.weyl_element(l, a, b) for a in range(l) for b in range(l)]
+    )
+    tracemalloc.start()
+    try:
+        assert _closed_form_residual(monomials, l) <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The closed-form table (16-byte coefficients, 8-byte targets) and the
+    # stack's 8-byte magnitudes take l^4 entries each, 10 MB here.  The arrays
+    # of one block stay under sixteen of _CLOSED_FORM_BLOCK complex entries
+    # (4 MB); one whole shift class at once would take 5.3 MB per array.
+    assert peak <= 32 * l**4 + 16 * 16 * _CLOSED_FORM_BLOCK
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
 
-    monkeypatch.setattr(quditkit.weyl, "_decompose", counting)
+def _phase_off(m):
+    row = 1
+    col = int(np.flatnonzero(m[row])[0])
+    m[row, col] *= np.exp(1e-9j)
+    return 1e-12
+
+
+def _stray_entry(m):
+    col = int(np.flatnonzero(m[0] == 0)[0])
+    m[0, col] = 1e-9
+    return 1e-9
+
+
+def _columns_swapped(m):
+    m[:, [0, 1]] = m[:, [1, 0]]
+    return 1.0
+
+
+@pytest.mark.parametrize("mutate", [_phase_off, _stray_entry, _columns_swapped])
+@pytest.mark.parametrize("l", [3, 5])
+def test_closed_form_check_reads_the_matrices(monkeypatch, mutate, l):
+    # one monomial, W(2, 1), is built wrong; the check and the dense
+    # reference must both see it.  For an entry off the one-per-row pattern
+    # the check's residual is at least that entry's size.
+    build = quditkit.weyl.weyl_element
+    bound = []
+
+    def mutated(l, a, b):
+        m = build(l, a, b)
+        if (a, b) == (2, 1):
+            bound.append(mutate(m))
+        return m
+
+    monkeypatch.setattr(quditkit.weyl, "weyl_element", mutated)
+    check = _checked_closed_form(l)
+    assert not check.passed
+    assert check.residual >= bound[0]
+    assert reference_closed_form_residual(l) > check.tolerance
+
+
+@pytest.mark.parametrize("l", [24, 32])
+def test_single_site_passes_at_large_order(l):
     report = run_verification(dims=(l,), sites=(1,))
-    assert report.passed
-    # one (l^2, l, l) block per left monomial, plus the three roundtrip matrices
-    assert len(calls) <= l * l + 3
+    assert [c.name for c in report.checks if not c.passed] == []
 
 
 def test_headroom_is_residual_over_tolerance_and_not_a_field():

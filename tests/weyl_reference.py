@@ -3,16 +3,25 @@
 ``reference_decompose`` takes one trace inner product per monomial and
 ``reference_reconstruct`` sums the weighted monomials one at a time.  Tests
 compare :func:`quditkit.weyl_decompose` and :func:`quditkit.weyl_reconstruct`
-against them.  ``reference_closed_form_residual`` is the per-commutator loop
-the ``commutator-closed-form`` verify check replaced with one decomposition
-per left monomial.  Nothing in the package imports this module.
+against them.
+
+The ``commutator-closed-form`` verify check gathers each commutator's one
+wrapped diagonal by index arithmetic.  Two dense references form the
+commutators by matrix products instead: ``reference_closed_form_residual``
+decomposes them one at a time, and ``blocked_closed_form_residual``
+decomposes the l^2 commutators of one left monomial as one (l^2, l, l)
+block, O(l^7) in all.  Both build the monomials through
+``quditkit.weyl.weyl_element`` at call time, so a test that replaces it
+changes them too.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from quditkit import weyl
 from quditkit.linalg import as_matrix, hs_inner, max_abs
+from quditkit.verify import _closed_form_table
 from quditkit.weyl import _check_order, weyl_commutator_coefficient, weyl_decompose, weyl_element
 
 
@@ -45,10 +54,14 @@ def reference_reconstruct(table) -> np.ndarray:
     return out
 
 
+def _monomials(l: int) -> np.ndarray:
+    # monomials[a * l + b] is W(a, b)
+    return np.stack([weyl.weyl_element(l, a, b) for a in range(l) for b in range(l)])
+
+
 def reference_closed_form_residual(l: int) -> float:
     """Max residual of the commutator closed form, one decomposition per commutator."""
-    # monomials[a * l + b] is W(a, b)
-    monomials = np.stack([weyl_element(l, a, b) for a in range(l) for b in range(l)])
+    monomials = _monomials(l)
     closed_form = 0.0
     for p, left in enumerate(monomials):
         commutators = left @ monomials - monomials @ left
@@ -57,4 +70,21 @@ def reference_closed_form_residual(l: int) -> float:
             table = weyl_decompose(brute, l)
             table[ri, rj] -= coeff
             closed_form = max(closed_form, max_abs(table))
+    return closed_form
+
+
+def blocked_closed_form_residual(l: int) -> float:
+    """Max residual of the commutator closed form, one decomposition per left monomial.
+
+    Row q of a left monomial's (l^2, l^2) table must hold the closed-form
+    coefficient at the target code and zero elsewhere.
+    """
+    monomials = _monomials(l)
+    coefficients, targets = _closed_form_table(l)
+    right = np.arange(l * l)
+    closed_form = 0.0
+    for p, left in enumerate(monomials):
+        tables = weyl._decompose(left @ monomials - monomials @ left, l, 1).reshape(l * l, l * l)
+        tables[right, targets[p]] -= coefficients[p]
+        closed_form = max(closed_form, max_abs(tables))
     return closed_form
