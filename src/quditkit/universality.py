@@ -329,7 +329,7 @@ def closure(
     for it.  A sweep costs O(d^2) integer operations, O(d^4) for a
     universal set, in O(d^2) memory.
 
-    ``tol`` must be finite and positive (:class:`ValueError` otherwise).
+    ``tol`` must be finite and at least machine epsilon (:class:`ValueError` otherwise).
     Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
     with growth still pending (default cap: target dimension + 2, which an
     honestly converging run can never hit).
@@ -377,6 +377,8 @@ def _round_cap(gen_set: GeneratorSet, max_rounds: Optional[int], tol: float) -> 
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
     _check_tolerance(tol)
+    if tol < np.finfo(float).eps:  # below it, rounding dust passes for new directions
+        raise ValueError(f"tol must be at least machine epsilon, got {tol!r}")
     d = gen_set.dim
     return d * d + 1 if max_rounds is None else max_rounds  # default: the target dimension + 2
 

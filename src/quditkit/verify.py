@@ -119,12 +119,14 @@ def _single_system_checks(add, l: int) -> None:
     # monomials[a * l + b] is W(a, b)
     monomials = np.stack([weyl.weyl_element(l, a, b) for a in range(l) for b in range(l)])
     flat = monomials.reshape(l * l, l * l)
-    gram = (flat @ flat.conj().T) / l
+    gram = flat @ flat.conj().T
+    gram /= l
+    gram.flat[:: l * l + 1] -= 1  # the diagonal
     add(
         "weyl-gram",
         "Tr(W_p W_q*)/l = delta_pq",
         f"l={l}",
-        max_abs(gram - np.eye(l * l)),
+        max_abs(gram),
         1e-12,
     )
 
@@ -243,9 +245,10 @@ def _closed_form_residual(monomials: np.ndarray, l: int) -> float:
     counts in full.  On the diagonal of shift a + c, W(a, b) W(c, d) holds
     ``diag[a, b][j - c] * diag[c, d][j]`` and W(c, d) W(a, b) holds
     ``diag[c, d][j - a] * diag[a, b][j]``, so one FFT of their difference
-    gives the commutator's coefficients: O(l^5 log l) for all pairs.
+    gives the commutator's coefficients: O(l^5 log l) for all pairs, each
+    compared with its closed form, read from :func:`_commutator_phases`.
     """
-    coefficients, targets = (t.reshape((l,) * 4) for t in _closed_form_table(l))
+    phases = _commutator_phases(l)
     # rolls[s, j] = j - s mod l, the row of column j on the diagonal of shift s
     rolls, columns = weyl._wrapped_diagonals(l)
     support = (np.arange(l * l)[:, None], np.repeat(rolls, l, axis=0), columns)
@@ -254,6 +257,7 @@ def _closed_form_residual(monomials: np.ndarray, l: int) -> float:
     magnitudes[support] = 0.0
     residual = float(magnitudes.max())
     per_block = max(1, _CLOSED_FORM_BLOCK // l**3)
+    d = np.arange(l)
     for a in range(l):
         # [W(c, d), W(a, b)] subtracts the same two products the other way and
         # has the negated closed form, so its table is exactly the negated one
@@ -266,27 +270,23 @@ def _closed_form_residual(monomials: np.ndarray, l: int) -> float:
             forward = left[:, rolls[c]][:, :, None, :] * diag[c]
             backward = right * left[:, None, None, :]
             tables = weyl._diagonal_coefficients(forward - backward, l, 1).reshape(-1, l)
-            clocks = targets[a, b, c].ravel() % l
-            tables[np.arange(len(tables)), clocks] -= coefficients[a, b, c].ravel()
+            coefficients = phases[b, c, None] - phases[a]
+            clocks = np.broadcast_to((d[b, None, None] + d) % l, coefficients.shape)
+            tables[np.arange(len(tables)), clocks.ravel()] -= coefficients.ravel()
             residual = max(residual, max_abs(tables))
     return residual
 
 
-def _closed_form_table(l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed form of every monomial commutator at order l, as two (l^2, l^2) arrays.
+def _commutator_phases(l: int) -> np.ndarray:
+    """The (l, l) table ``zeta^(-x*y)`` from which every monomial commutator is read.
 
-    With codes p = a*l + b and q = c*l + d, ``[W(p), W(q)]`` is
-    ``coefficients[p, q]`` times the monomial with code ``targets[p, q]``,
-    the values :func:`weyl.weyl_commutator_coefficient` returns: the
-    coefficient is ``zeta^(-b*c) - zeta^(-a*d)``, taken from the same l
-    values of :meth:`weyl.RootOfUnity.zeta_power`.
+    ``[W(a, b), W(c, d)]`` is ``phases[b, c] - phases[a, d]`` times
+    ``W(a + c, b + d)``, the values :func:`weyl.weyl_commutator_coefficient`
+    returns, taken from the same l values of :meth:`weyl.RootOfUnity.zeta_power`.
     """
     root = weyl.RootOfUnity(l)
-    powers = np.array([root.zeta_power(k) for k in range(l)])
-    a, b, c, d = np.ix_(*(np.arange(l),) * 4)
-    coefficients = powers[(-b * c) % l] - powers[(-a * d) % l]
-    targets = ((a + c) % l) * l + (b + d) % l
-    return coefficients.reshape(l * l, l * l), targets.reshape(l * l, l * l)
+    x = np.arange(l)
+    return np.array([root.zeta_power(k) for k in range(l)])[-np.outer(x, x) % l]
 
 
 def _clifford_checks(add, n: int) -> None:

@@ -175,6 +175,15 @@ class TestClosure:
         assert exc.value.code == 2
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e-17", "1e-300"])
+    def test_tolerance_below_machine_epsilon_exits_2(self, capsys, value):
+        code, out, err = run(
+            capsys, "closure", "--set", "qudit-universal", "--dim", "3", f"--tolerance={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "machine epsilon" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_env_var_tolerance_must_be_finite(self, capsys, monkeypatch, value):
         monkeypatch.setenv("QUDITKIT_TOLERANCE", value)

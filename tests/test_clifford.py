@@ -6,6 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generate_digests import DIGESTS_PATH, digest_case, generate_cases
 
@@ -88,6 +90,12 @@ class TestCliffordGenerators:
         with pytest.raises(ValueError):
             clifford_generators(0)
 
+    def test_single_site_family_owns_its_matrices(self):
+        # at n=1 each generator is one factor, which used to be the shared
+        # Pauli table itself: writing into it changed every later family
+        clifford_generators(1).matrices[0][0, 0] = 7
+        assert np.array_equal(clifford_generators(1).matrices[0], pauli(1))
+
 
 class TestGeneralizedGenerators:
     @pytest.mark.parametrize("n", [1, 2])
@@ -167,6 +175,36 @@ class TestCommutationMatrix:
             table = commutation_matrix(fam)
             assert np.array_equal(table, -table.T)
             assert not table.diagonal().any()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(1, 3),
+        st.sampled_from([generalized_generators, canonical_generators]),
+        st.data(),
+    )
+    def test_table_follows_the_family(self, l, n, build, data):
+        fam = build(l, n)
+        table = commutation_matrix(fam)
+
+        def table_of(matrices):
+            return commutation_matrix(GeneratorFamily(l, n, fam.kind, tuple(matrices)))
+
+        # permuting the generators permutes the table; at l=2 the +1/-1 tie
+        # resolves by position, so exponents are compared mod l
+        perm = data.draw(st.permutations(range(2 * n)))
+        permuted = table_of(fam.matrices[i] for i in perm)
+        assert np.array_equal(permuted % l, table[np.ix_(perm, perm)] % l)
+
+        # an l-th root of unity on one generator leaves every exponent alone
+        k = data.draw(st.integers(0, 2 * n - 1))
+        phase = RootOfUnity(l).zeta_power(data.draw(st.integers(1, l - 1)))
+        assert np.array_equal(table_of(g * phase if i == k else g for i, g in enumerate(fam.matrices)), table)
+
+        # so does conjugating every generator by one unitary
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((fam.dim,) * 2) + 1j * rng.standard_normal((fam.dim,) * 2))
+        assert np.array_equal(table_of(q @ g @ q.conj().T for g in fam.matrices), table)
 
     def test_rejects_non_power_commuting_pair(self):
         u = shift_matrix(3)

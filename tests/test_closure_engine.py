@@ -30,7 +30,7 @@ from quditkit import (
     universal_augmentation,
 )
 from quditkit.serialize import save_matrix
-from quditkit.universality import _dense_closure, _run_rounds
+from quditkit.universality import _dense_closure, _kept_seeds, _run_rounds, _seed
 
 # (label, matrices, achieved dim): the acceptance suite's seven sets.
 ACCEPTANCE_SETS = [
@@ -431,7 +431,8 @@ def test_screen_heavy_dense_report_independent_of_blas_threads(tmp_path):
 def test_seeds_past_the_matrix_space_do_not_overflow():
     # At tol=1e-300 rounding dust passes for a new direction, so the six
     # seeds of three real-mode 2x2 matrices would outgrow all 4 dimensions.
+    # closure refuses such a tol; the builder's guard is checked directly.
     rng = np.random.default_rng(51)
     mats = [_complex_gaussian(rng, 2) for _ in range(3)]
-    result = closure(prepare_generators(mats, REAL_ANTIHERMITIAN), tol=1e-300)
-    assert result.achieved_dim <= 4
+    gen = prepare_generators(mats, REAL_ANTIHERMITIAN)
+    assert _seed(_kept_seeds(gen, 1e-300)[0], gen, 1e-300).size == 4

@@ -98,6 +98,17 @@ class TestAgainstReference:
         assert_matches(result, _dense_closure(gen))
         assert_monomial_basis(result, mode)
 
+    @pytest.mark.parametrize("tol", [1e-7, 1e-11])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name,l,n", NAMED_GRID, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID])
+    def test_named_set_verdicts_hold_across_tolerances(self, name, l, n, mode, tol):
+        gen = prepare_generators(named_generator_set(name, l, n), mode)
+        moved, default = (
+            (r.achieved_dim, r.rounds, r.universal, r.engine)
+            for r in (closure(gen, tol=tol), closure(gen, tol=1e-9))
+        )
+        assert moved == default
+
     @pytest.mark.parametrize("l,n,dim", [(5, 2, 624), (3, 3, 728)])
     def test_qudit_universal_past_the_default_cap(self, l, n, dim):
         result = closure(prepare_generators(qudit_universal_set(l, n), REAL_ANTIHERMITIAN))

@@ -183,6 +183,19 @@ class TestClosureProperties:
         with pytest.raises(ValueError, match="finite and positive"):
             is_universal(qudit_universal_set(3, 1), 3, 1, tol=tol)
 
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_tolerance_below_machine_epsilon_is_refused(self, tol):
+        # Accepted, rounding dust of these three inputs passed for a fourth
+        # direction of su(2): 4 of target 3 and universal: false.
+        rng = np.random.default_rng(51)
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        gen = prepare_generators(mats, REAL_ANTIHERMITIAN)
+        for engine in (closure, _dense_closure):
+            with pytest.raises(ValueError, match="machine epsilon"):
+                engine(gen, tol=tol)
+        result = closure(gen, tol=np.finfo(float).eps)
+        assert (result.achieved_dim, result.target_dim, result.universal) == (3, 3, True)
+
 
 class TestQuditUniversalDimensions:
     @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21), (4, 36)])

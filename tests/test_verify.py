@@ -1,5 +1,6 @@
 """The aggregated verification suites behind the verify command."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from quditkit.verify import (
     DEFAULT_SITES,
     VerifyCheck,
     _closed_form_residual,
-    _closed_form_table,
+    _commutator_phases,
 )
 from weyl_reference import blocked_closed_form_residual, reference_closed_form_residual
 
@@ -136,14 +137,15 @@ def test_closed_form_residual_within_one_rounding_of_blas_products(l):
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8, 9])
-def test_closed_form_table_matches_scalar_closed_form(l):
-    coefficients, targets = _closed_form_table(l)
-    assert coefficients.shape == targets.shape == (l * l, l * l)
-    for p in range(l * l):
-        for q in range(l * l):
-            coeff, target = weyl_commutator_coefficient(l, divmod(p, l), divmod(q, l))
-            assert coefficients[p, q] == coeff
-            assert divmod(int(targets[p, q]), l) == target
+def test_commutator_phases_give_the_scalar_closed_form(l):
+    # the check reads [W(a, b), W(c, d)] as phases[b, c] - phases[a, d] at
+    # clock power b + d of the diagonal of shift a + c
+    phases = _commutator_phases(l)
+    assert phases.shape == (l, l)
+    for a, b, c, d in itertools.product(range(l), repeat=4):
+        coeff, target = weyl_commutator_coefficient(l, (a, b), (c, d))
+        assert np.complex128(phases[b, c] - phases[a, d]).tobytes() == np.complex128(coeff).tobytes()
+        assert target == ((a + c) % l, (b + d) % l)
 
 
 def test_closed_form_workspace_is_bounded_by_the_block():
@@ -157,11 +159,11 @@ def test_closed_form_workspace_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The closed-form table (16-byte coefficients, 8-byte targets) and the
-    # stack's 8-byte magnitudes take l^4 entries each, 10 MB here.  The arrays
-    # of one block stay under sixteen of _CLOSED_FORM_BLOCK complex entries
-    # (4 MB); one whole shift class at once would take 5.3 MB per array.
-    assert peak <= 32 * l**4 + 16 * 16 * _CLOSED_FORM_BLOCK
+    # Only the stack's 8-byte magnitudes take l^4 entries, 2.7 MB here; the
+    # closed form is read from an (l, l) table.  The arrays of one block stay
+    # under sixteen of _CLOSED_FORM_BLOCK complex entries (4 MB); one whole
+    # shift class at once would take 5.3 MB per array.
+    assert peak <= 8 * l**4 + 16 * 16 * _CLOSED_FORM_BLOCK
 
 
 def _phase_off(m):

@@ -21,7 +21,6 @@ import numpy as np
 
 from quditkit import weyl
 from quditkit.linalg import as_matrix, hs_inner, max_abs
-from quditkit.verify import _closed_form_table
 from quditkit.weyl import _check_order, weyl_commutator_coefficient, weyl_decompose, weyl_element
 
 
@@ -80,11 +79,11 @@ def blocked_closed_form_residual(l: int) -> float:
     coefficient at the target code and zero elsewhere.
     """
     monomials = _monomials(l)
-    coefficients, targets = _closed_form_table(l)
-    right = np.arange(l * l)
     closed_form = 0.0
     for p, left in enumerate(monomials):
         tables = weyl._decompose(left @ monomials - monomials @ left, l, 1).reshape(l * l, l * l)
-        tables[right, targets[p]] -= coefficients[p]
+        for q in range(l * l):
+            coeff, (ri, rj) = weyl_commutator_coefficient(l, divmod(p, l), divmod(q, l))
+            tables[q, ri * l + rj] -= coeff
         closed_form = max(closed_form, max_abs(tables))
     return closed_form
