@@ -248,7 +248,7 @@ def qudit_universal_set(l: int, n: int) -> List[np.ndarray]:
     """
     fam = generalized_generators(l, n)
     f = fam.matrices
-    return [f[0].copy()] + [f[k] @ dagger(f[k + 1]) for k in range(len(f) - 1)]
+    return [f[0]] + [f[k] @ dagger(f[k + 1]) for k in range(len(f) - 1)]
 
 
 GENERATOR_SET_NAMES = (
@@ -265,11 +265,11 @@ def named_generator_set(name: str, l: int, n: int) -> List[np.ndarray]:
     """Resolve a registry name to a list of matrices (the CLI entry point)."""
     if name == "clifford":
         _require_qubit(name, l)
-        return [m.copy() for m in clifford_generators(n).matrices]
+        return list(clifford_generators(n).matrices)
     if name == "generalized":
-        return [m.copy() for m in generalized_generators(l, n).matrices]
+        return list(generalized_generators(l, n).matrices)
     if name == "canonical":
-        return [m.copy() for m in canonical_generators(l, n).matrices]
+        return list(canonical_generators(l, n).matrices)
     if name == "biproducts":
         _require_qubit(name, l)
         return biproducts(clifford_generators(n))

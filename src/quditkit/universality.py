@@ -24,7 +24,7 @@ import numpy as np
 # closure does not call hs_norm; importing it keeps universality.hs_norm bound
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
-from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, orthonormal_extend
+from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
 from .weyl import _diagonal_coefficients, _digits, _monomial_entries, _wrapped_diagonals
 
 __all__ = [
@@ -50,8 +50,7 @@ _ANTIHERMITIAN_TOL = 1e-11
 # Commutators screened per block; each block allocates a few _SCREEN_ROWS x d^2
 # temporaries whatever the basis size.
 _SCREEN_ROWS = 32
-# Seeds decomposed over the Weyl monomials, and matrices checked anti-Hermitian,
-# per block, for the same reason.
+# Seeds decomposed over the Weyl monomials per block, for the same reason.
 _SUPPORT_ROWS = 8
 # The support search skips a diagonal whose entries are all at most its
 # threshold times this; the margin is far above the FFT's rounding, so the
@@ -84,7 +83,12 @@ def hermitian_split(m) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Preprocessed input to :func:`closure`; build via :func:`prepare_generators`."""
+    """Preprocessed input to :func:`closure`; build via :func:`prepare_generators`.
+
+    A hand-built set is checked one matrix at a time, in order: shape (dim, dim),
+    finite entries, and in real mode ``max |m + m*| <= 1e-11``; the first failure
+    raises :class:`ValueError`.  Prepared sets skip the checks in both modes.
+    """
 
     name: str
     dim: int
@@ -93,44 +97,32 @@ class GeneratorSet:
 
     @classmethod
     def _prepared(cls, name: str, dim: int, matrices: Tuple[np.ndarray, ...], mode: str) -> "GeneratorSet":
-        """A set :func:`prepare_generators` made valid by construction, built without the checks."""
+        """A set :func:`prepare_generators` made valid by construction; no checks run, in either mode."""
         prepared = object.__new__(cls)
         vars(prepared).update(name=name, dim=dim, matrices=matrices, mode=mode)
         return prepared
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        _check_mode(self.mode)
         shape = (self.dim, self.dim)
-        misshapen = next(
-            (idx for idx, m in enumerate(self.matrices) if m.shape != shape), len(self.matrices)
-        )
-        if self.mode == REAL_ANTIHERMITIAN:
-            # in blocks, which keeps the temporaries small
-            for start in range(0, misshapen, _SUPPORT_ROWS):
-                stop = min(misshapen, start + _SUPPORT_ROWS)
-                _check_antihermitian(self.matrices[start:stop], start)
-        if misshapen < len(self.matrices):
-            m = self.matrices[misshapen]
-            raise ValueError(f"matrix {misshapen} has shape {m.shape}, expected {shape}")
+        real = self.mode == REAL_ANTIHERMITIAN
+        with np.errstate(invalid="ignore"):  # inf - inf in m + m* of a non-finite m
+            for idx, m in enumerate(self.matrices):
+                if m.shape != shape:
+                    raise ValueError(f"matrix {idx} has shape {m.shape}, expected {shape}")
+                if real and m.size and max_abs(m + m.conj().T) <= _ANTIHERMITIAN_TOL:
+                    continue  # m + m* is finite only where m is, so m passes both checks
+                as_matrix(m)  # raises for non-finite entries
+                if real:
+                    raise ValueError(
+                        f"matrix {idx} is not anti-Hermitian; real mode requires "
+                        "preprocessed input (see prepare_generators)"
+                    )
 
 
-def _check_antihermitian(matrices: Sequence[np.ndarray], offset: int) -> None:
-    """Raise for the first of ``matrices`` (numbered from ``offset``) that is
-    not finite or not anti-Hermitian, as a matrix-by-matrix check would."""
-    stack = np.stack(matrices)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    checked = len(stack) if finite.all() else int(np.argmin(finite))
-    skew = stack[:checked].transpose(0, 2, 1).conj()
-    skew += stack[:checked]
-    failed = np.flatnonzero(np.abs(skew).max(axis=(1, 2), initial=0.0) > _ANTIHERMITIAN_TOL)
-    if failed.size:
-        raise ValueError(
-            f"matrix {offset + failed[0]} is not anti-Hermitian; real mode requires "
-            "preprocessed input (see prepare_generators)"
-        )
-    if checked < len(stack):
-        as_matrix(stack[checked])  # raises its message for non-finite entries
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -169,10 +161,10 @@ def prepare_generators(
     the output equals theirs bit for bit; real mode puts each input's pair
     in place of the input.  Beyond the inputs, the call holds one copy of
     the stack and, in real mode, the (2k, d, d) split that it returns: at
-    most three stacks' worth in all.  That arithmetic makes every real-mode
-    output exactly anti-Hermitian, so the set skips the check a hand-built
-    real-mode :class:`GeneratorSet` gets.  In either mode an overflow to a
-    non-finite entry raises ``ValueError``.
+    most three stacks' worth in all.  The outputs are square and finite, and
+    real-mode ones exactly anti-Hermitian, so in either mode the set skips
+    the checks a hand-built :class:`GeneratorSet` gets.  In either mode an
+    overflow to a non-finite entry raises ``ValueError``.
     """
     stack = _stack_inputs(matrices)
     k, d = stack.shape[:2]
@@ -180,20 +172,20 @@ def prepare_generators(
     with np.errstate(over="ignore", invalid="ignore"):
         traces = np.trace(stack, axis1=1, axis2=2) / d
         stack -= traces[:, None, None] * np.eye(d, dtype=complex)
-    if mode != REAL_ANTIHERMITIAN:
-        _check_finite(stack)
-        return GeneratorSet(name=name, dim=d, matrices=tuple(stack), mode=mode)
-    # written in place: temporaries of the whole stack cost more than the arithmetic
-    split = np.empty((k, 2, d, d), dtype=complex)
-    adjoint = split[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.conjugate(stack.transpose(0, 2, 1), out=adjoint)
-        np.add(stack, adjoint, out=split[:, 0])
-        split[:, 0] *= 1j
-        np.subtract(stack, adjoint, out=adjoint)
-    # i(M + M*) and M - M* are exactly anti-Hermitian; only an overflow can fail the check
-    _check_finite(split)
-    return GeneratorSet._prepared(name, d, tuple(split.reshape(2 * k, d, d)), mode)
+    if mode == REAL_ANTIHERMITIAN:
+        # written in place: temporaries of the whole stack cost more than the arithmetic
+        split = np.empty((k, 2, d, d), dtype=complex)
+        adjoint = split[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.conjugate(stack.transpose(0, 2, 1), out=adjoint)
+            np.add(stack, adjoint, out=split[:, 0])
+            split[:, 0] *= 1j
+            np.subtract(stack, adjoint, out=adjoint)
+        # i(M + M*) and M - M* are exactly anti-Hermitian; only an overflow can fail the checks
+        stack = split.reshape(2 * k, d, d)
+    _check_finite(stack)
+    _check_mode(mode)
+    return GeneratorSet._prepared(name, d, tuple(stack), mode)
 
 
 def _check_finite(stack: np.ndarray) -> None:
@@ -330,6 +322,8 @@ def closure(
     universal set, in O(d^2) memory.
 
     ``tol`` must be finite and at least machine epsilon (:class:`ValueError` otherwise).
+    An input whose Frobenius norm overflows to infinity, possible once its
+    entries reach about 1e154, raises :class:`ValueError` naming it.
     Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
     with growth still pending (default cap: target dimension + 2, which an
     honestly converging run can never hit).
@@ -353,8 +347,12 @@ def _dense_closure(
 
 
 def _kept_seeds(gen_set: GeneratorSet, tol: float) -> Tuple[List[np.ndarray], np.ndarray]:
-    """The inputs whose norm exceeds ``tol`` times the largest, and their norms."""
-    norms = np.array([np.linalg.norm(m) for m in gen_set.matrices])
+    """The inputs whose norm exceeds ``tol`` times the largest, and their norms;
+    ``ValueError`` for the first input whose norm overflows."""
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(m) for m in gen_set.matrices])
+    if np.isinf(norms.max()):
+        raise ValueError(f"matrix {np.argmax(norms)} has a norm that overflows")
     kept = norms > tol * norms.max()
     return [m for m, keep in zip(gen_set.matrices, kept) if keep], norms[kept]
 

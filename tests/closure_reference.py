@@ -17,9 +17,9 @@ and ``off_support``).
 ``reference_monomial_closure`` is the monomial engine's sweep as it
 gathered each partner's digits from the code table, the reference for the
 sweep over stored digit rows.
-``reference_prepare`` and ``reference_validate`` are
-:func:`quditkit.prepare_generators` and the :class:`quditkit.GeneratorSet`
-checks matrix by matrix, the references for the stacked ones.
+``reference_prepare`` is :func:`quditkit.prepare_generators` input by
+input, the reference for its stacked arithmetic; ``reference_validate``
+spells out the checks of a hand-built :class:`quditkit.GeneratorSet`.
 
 ``complex_dense_closure`` is the batched dense engine with every sweep in
 complex arithmetic, two products per commutator and complex projections,
@@ -327,12 +327,14 @@ def reference_prepare(matrices, mode: str) -> List[np.ndarray]:
 
 
 def reference_validate(dim: int, matrices: Sequence[np.ndarray], mode: str) -> None:
-    """The shape and anti-Hermitian checks of :class:`quditkit.GeneratorSet`, one matrix at a time."""
+    """The shape, finiteness and anti-Hermitian checks of :class:`quditkit.GeneratorSet`,
+    one matrix at a time."""
     for idx, m in enumerate(matrices):
         if m.shape != (dim, dim):
             raise ValueError(
                 f"matrix {idx} has shape {m.shape}, expected {(dim, dim)}"
             )
+        as_matrix(m)  # raises for non-finite entries
         if mode == REAL_ANTIHERMITIAN:
             if max_abs(m + dagger(m)) > _ANTIHERMITIAN_TOL:
                 raise ValueError(

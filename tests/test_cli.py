@@ -257,6 +257,13 @@ class TestClosure:
         assert "achieved-dim: 8" in out
         assert "universal: true" in out
 
+    def test_input_whose_norm_overflows_is_a_usage_error(self, tmp_path, capsys):
+        save_matrix(tmp_path / "a.json", 1e160 * shift_matrix(3))
+        save_matrix(tmp_path / "b.json", clock_matrix(3))
+        code, _, err = run(capsys, "closure", "--input", str(tmp_path))
+        assert code == 2
+        assert err == "error: matrix 0 has a norm that overflows\n"
+
     def test_set_and_input_are_exclusive(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "closure", "--set", "biproducts", "--input", str(tmp_path)

@@ -34,11 +34,14 @@ from quditkit import (
     REAL_ANTIHERMITIAN,
     GeneratorSet,
     NonConvergenceError,
+    clock_matrix,
     closure,
     max_abs,
     named_generator_set,
     prepare_generators,
     qudit_universal_set,
+    shift_matrix,
+    weyl_element,
 )
 from quditkit import cli
 from quditkit.serialize import load_matrix
@@ -461,12 +464,14 @@ BAD_INPUTS = [
 
 
 def _validation_cases():
-    """GeneratorSet inputs at dim 3: faults before, inside and
-    after the first block of checks, alone and in either order."""
+    """GeneratorSet inputs at dim 3: faults early and late in the set,
+    alone and two of different kinds in either order."""
     rng = np.random.default_rng(7)
     skew = [(lambda m: m - m.conj().T)(rng.standard_normal((3, 3)) + 0j) for _ in range(20)]
     hermitian = np.eye(3, dtype=complex)
     bad = np.full((3, 3), np.nan + 0j)
+    opposed = np.zeros((3, 3), dtype=complex)  # m + m* is inf - inf at (0, 1)
+    opposed[0, 1], opposed[1, 0] = np.inf, -np.inf
     return [
         skew,
         skew[:2] + [hermitian] + skew[2:],
@@ -479,6 +484,7 @@ def _validation_cases():
         [np.eye(2, dtype=complex)] + skew,
         skew[:9] + [skew[0] + 2e-11],
         skew[:9] + [skew[0] + 5e-12],
+        skew[:4] + [opposed, hermitian],
     ]
 
 
@@ -542,6 +548,25 @@ class TestStackedPreprocessing:
             r"\(see prepare_generators\)$"
         )):
             GeneratorSet("", 2, (skew, np.eye(2, dtype=complex)), REAL_ANTIHERMITIAN)
+
+    def test_hand_built_complex_mode_sets_refuse_non_finite_entries(self):
+        # closure would drop every seed of such a set (its largest norm is NaN): achieved_dim 0
+        w10, w01 = weyl_element(3, 1, 0), weyl_element(3, 0, 1)
+        w01[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+            GeneratorSet("", 3, (w10, w01), COMPLEX_TRACELESS)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hand_built_empty_matrices_are_refused(self, mode):
+        with pytest.raises(ValueError, match=r"^matrix must be a square matrix, got shape \(0, 0\)$"):
+            GeneratorSet("", 0, (np.zeros((0, 0), dtype=complex),), mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seed_norms_that_overflow_are_refused(self, mode):
+        # finite entries of 1e160 whose squares overflow the Frobenius norm
+        gen = prepare_generators([1e160 * shift_matrix(3), clock_matrix(3)], mode)
+        with pytest.raises(ValueError, match=r"^matrix 0 has a norm that overflows$"):
+            closure(gen)
 
     def test_peak_memory_is_one_stack_copy_plus_the_split(self):
         # The inputs, the stack and the (2k, d, d) split are k, k and 2k
