@@ -2,10 +2,9 @@
 
 Subcommands: ``generate``, ``verify``, ``closure``, ``decompose``, ``qft``,
 ``apply``.  Exit status contract: 0 on success or pass, 1 when a
-verification or expectation fails (including closure non-convergence), 2 on
-usage or file-format problems.  All numeric output is 17-significant-digit
-decimal and reports contain no timestamps, so identical inputs produce
-byte-identical output.
+verification or expectation fails, 2 on usage or file-format problems.
+All numeric output is 17-significant-digit decimal and reports contain no
+timestamps, so identical inputs produce byte-identical output.
 
 The default tolerance is 1e-9 and can be overridden with the
 ``QUDITKIT_TOLERANCE`` environment variable or ``--tolerance``.
@@ -37,7 +36,6 @@ from .serialize import (
 )
 from .universality import (
     MODES,
-    NonConvergenceError,
     REAL_ANTIHERMITIAN,
     closure,
     prepare_generators,
@@ -191,9 +189,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NonConvergenceError as exc:
-        print(f"error: closure did not converge: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

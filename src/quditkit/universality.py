@@ -25,13 +25,12 @@ import numpy as np
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
 from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
-from .weyl import _diagonal_coefficients, _digits, _monomial_entries, _wrapped_diagonals
+from .weyl import _decompose, _diagonal_coefficients, _digits, _monomial_entries, _wrapped_diagonals
 
 __all__ = [
     "REAL_ANTIHERMITIAN",
     "COMPLEX_TRACELESS",
     "MODES",
-    "NonConvergenceError",
     "GeneratorSet",
     "ClosureResult",
     "traceless_project",
@@ -56,10 +55,6 @@ _SUPPORT_ROWS = 8
 # threshold times this; the margin is far above the FFT's rounding, so the
 # skip is exact in floating point too.
 _SKIP_MARGIN = 1 - 1e-12
-
-
-class NonConvergenceError(RuntimeError):
-    """Round cap reached while the basis was still growing (tolerance trouble)."""
 
 
 def traceless_project(m) -> np.ndarray:
@@ -216,11 +211,7 @@ def _stack_inputs(matrices: Iterable[np.ndarray]) -> np.ndarray:
     return np.stack(mats)
 
 
-def closure(
-    gen_set: GeneratorSet,
-    max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
-) -> ClosureResult:
+def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     """Grow an orthonormal basis of the Lie algebra generated by the set.
 
     The inputs are the seeds.  An input whose norm is at most ``tol`` times
@@ -286,8 +277,7 @@ def closure(
     basis element b_j; when none passes the screen's first pass below, the
     span is the algebra and no later sweep can add to it.  The run then
     stops with the rounds the full schedule counts: r + 1 if the current
-    round r grew, r otherwise, and the same :class:`NonConvergenceError`
-    if r + 1 passes ``max_rounds``.  A check that succeeds screens as many
+    round r grew, r otherwise.  A check that succeeds screens as many
     commutators as one sweep per seed element; the newest elements go first,
     so one that fails usually stops in its first block.  A real-mode 12+12
     block pair (287 of 575) reaches its dimension at its 8th sweep and now
@@ -324,26 +314,21 @@ def closure(
     ``tol`` must be finite and at least machine epsilon (:class:`ValueError` otherwise).
     An input whose Frobenius norm overflows to infinity, possible once its
     entries reach about 1e154, raises :class:`ValueError` naming it.
-    Raises :class:`NonConvergenceError` when ``max_rounds`` is exhausted
-    with growth still pending (default cap: target dimension + 2, which an
-    honestly converging run can never hit).
+    Every round but the last adds an element, so a run ends within d^2 - 1
+    rounds (see :func:`_run_rounds`).
     """
-    max_rounds = _round_cap(gen_set, max_rounds, tol)
+    _check_closure(gen_set, tol)
     seeds, norms = _kept_seeds(gen_set, tol)
     found = _monomial_support(seeds, norms, gen_set.dim, gen_set.mode, tol)
     if found is None:
-        return _dense_sweep(_seed(seeds, gen_set, tol), max_rounds)
-    return _monomial_closure(*found, gen_set.mode, max_rounds, tol)
+        return _dense_sweep(_seed(seeds, gen_set, tol))
+    return _monomial_closure(*found, gen_set.mode, tol)
 
 
-def _dense_closure(
-    gen_set: GeneratorSet,
-    max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
-) -> ClosureResult:
+def _dense_closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     """:func:`closure` on the dense engine whatever the input."""
-    max_rounds = _round_cap(gen_set, max_rounds, tol)
-    return _dense_sweep(_seed(_kept_seeds(gen_set, tol)[0], gen_set, tol), max_rounds)
+    _check_closure(gen_set, tol)
+    return _dense_sweep(_seed(_kept_seeds(gen_set, tol)[0], gen_set, tol))
 
 
 def _kept_seeds(gen_set: GeneratorSet, tol: float) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -370,21 +355,19 @@ def _seed(seeds: Sequence[np.ndarray], gen_set: GeneratorSet, tol: float) -> "_B
     return builder
 
 
-def _round_cap(gen_set: GeneratorSet, max_rounds: Optional[int], tol: float) -> int:
-    """The round cap, after the checks every closure makes, in order."""
+def _check_closure(gen_set: GeneratorSet, tol: float) -> None:
+    """The checks every closure makes, in order."""
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
     _check_tolerance(tol)
     if tol < np.finfo(float).eps:  # below it, rounding dust passes for new directions
         raise ValueError(f"tol must be at least machine epsilon, got {tol!r}")
-    d = gen_set.dim
-    return d * d + 1 if max_rounds is None else max_rounds  # default: the target dimension + 2
 
 
-def _dense_sweep(builder: "_BasisBuilder", max_rounds: int) -> ClosureResult:
+def _dense_sweep(builder: "_BasisBuilder") -> ClosureResult:
     target = builder.d * builder.d - 1
     closed = functools.partial(builder.closed, builder.size)  # the seeds lead the basis
-    rounds = _run_rounds(builder.size, builder.sweep, target, max_rounds, closed)
+    rounds = _run_rounds(builder.size, builder.sweep, target, closed)
     return _result(builder.basis(), target, rounds, builder.tol, "dense")
 
 
@@ -392,13 +375,16 @@ def _run_rounds(
     size: int,
     sweep: Callable[[int, int], int],
     target: int,
-    max_rounds: int,
     closed: Optional[Callable[[], bool]] = None,
 ) -> int:
     """Run the round schedule of :func:`closure` on ``size`` elements; return the rounds run.
 
     ``sweep(i, frontier_start)`` adds the new directions among the pairs of
     element ``i`` (see :func:`closure`) and returns the size after them.
+    The schedule needs no cap: a round that adds nothing leaves an empty
+    frontier and ends the run, and the run also ends once the size reaches
+    ``target``, so every round but the last adds an element and a run from
+    ``size >= 1`` ends within ``target - size + 1 <= target`` rounds.
 
     ``closed()``, if given, tells whether no later sweep can add anything.
     It is asked only after a sweep that added nothing, and only when the
@@ -406,16 +392,12 @@ def _run_rounds(
     true the schedule stops with the rounds the full schedule would count:
     the current round r runs to its end adding nothing, and if it grew,
     round r + 1 sweeps its new elements and adds nothing, so the count is
-    r + 1 if round r grew and r otherwise.  If r + 1 would pass
-    ``max_rounds``, the full schedule's :class:`NonConvergenceError` is
-    raised, with the same text.
+    r + 1 if round r grew and r otherwise.
     """
     rounds = 0
     frontier_start = 0
     checked = size
     while frontier_start < size < target:
-        if rounds == max_rounds:
-            raise _non_convergence(max_rounds, size, target)
         rounds += 1
         frontier_end = size
         for i in range(frontier_start, frontier_end):
@@ -426,19 +408,9 @@ def _run_rounds(
             if closed is not None and size == before and size > checked:
                 checked = size
                 if closed():
-                    grew = size > frontier_end
-                    if grew and rounds == max_rounds:
-                        raise _non_convergence(max_rounds, size, target)
-                    return rounds + grew
+                    return rounds + (size > frontier_end)
         frontier_start = frontier_end
     return rounds
-
-
-def _non_convergence(max_rounds: int, size: int, target: int) -> NonConvergenceError:
-    return NonConvergenceError(
-        f"basis still growing after {max_rounds} rounds "
-        f"(dimension {size} of {target}); revisit the tolerance"
-    )
 
 
 def _result(
@@ -496,7 +468,7 @@ def _monomial_support(
 def _off_support(seed: np.ndarray, norm: float, codes: np.ndarray, l: int, n: int) -> float:
     """The norm of the unit ``seed / norm``'s part off the monomials ``codes``,
     summed from its full decomposition."""
-    table = _diagonal_coefficients(seed[_wrapped_diagonals(l, n)], l, n).reshape(-1)
+    table = _decompose(seed, l, n).reshape(-1)
     table[codes] = 0.0
     return float(np.linalg.norm(table) * np.sqrt(l**n) / norm)
 
@@ -569,9 +541,7 @@ def _first_reached(
     return codes, coefficients, outside
 
 
-def _monomial_closure(
-    l: int, n: int, seed_codes: np.ndarray, mode: str, max_rounds: int, tol: float
-) -> ClosureResult:
+def _monomial_closure(l: int, n: int, seed_codes: np.ndarray, mode: str, tol: float) -> ClosureResult:
     """The closure of the monomials ``seed_codes`` by index arithmetic (see :func:`closure`)."""
     d = l**n
     target = d * d - 1
@@ -605,7 +575,7 @@ def _monomial_closure(
         size += len(new)
         return size
 
-    rounds = _run_rounds(size, sweep, target, max_rounds)
+    rounds = _run_rounds(size, sweep, target)
     return _result(_MonomialBasis(l, n, codes[:size], mode), target, rounds, tol, "monomial")
 
 

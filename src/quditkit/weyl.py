@@ -80,11 +80,11 @@ class RootOfUnity:
 
     @property
     def zeta(self) -> complex:
-        return complex(np.exp(2j * np.pi / self.l))
+        return self.zeta_power(1)
 
     @property
     def nu(self) -> complex:
-        return complex(np.exp(1j * np.pi / self.l))
+        return self.nu_power(1)
 
     def zeta_power(self, k: int) -> complex:
         """``zeta**k`` computed from a reduced angle (exact periodicity)."""
@@ -102,18 +102,12 @@ def shift_matrix(l: int) -> np.ndarray:
     vector it sends basis index k to k-1 (mod l); the adjoint permutation
     raises indices instead.
     """
-    l = _check_order(l)
-    u = np.zeros((l, l), dtype=complex)
-    idx = np.arange(l)
-    u[idx, (idx + 1) % l] = 1.0
-    return u
+    return weyl_element(l, 1, 0)
 
 
 def clock_matrix(l: int) -> np.ndarray:
     """Diagonal matrix of the l-th roots of unity, diag(zeta^k)."""
-    l = _check_order(l)
-    angles = 2j * np.pi * np.arange(l) / l
-    return np.diag(np.exp(angles))
+    return weyl_element(l, 0, 1)
 
 
 def _check_sites(n: int) -> int:

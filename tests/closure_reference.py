@@ -37,7 +37,6 @@ from quditkit import (
     REAL_ANTIHERMITIAN,
     ClosureResult,
     GeneratorSet,
-    NonConvergenceError,
     hermitian_split,
     traceless_project,
 )
@@ -57,7 +56,6 @@ from quditkit.universality import (
     _SCREEN_ROWS,
     _SUPPORT_ROWS,
     _negated,
-    _non_convergence,
     _result,
 )
 from quditkit.weyl import _decompose, _digits, _monomial_entries
@@ -84,18 +82,12 @@ def reference_extend(
     return ExtendResult(True, rnorm, residual / rnorm)
 
 
-def reference_closure(
-    gen_set: GeneratorSet,
-    max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
-) -> ClosureResult:
+def reference_closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     """Extend the basis by every commutator of each frontier element, one at a time."""
     if not gen_set.matrices:
         raise ValueError("generator set is empty")
     d = gen_set.dim
     target = d * d - 1
-    if max_rounds is None:
-        max_rounds = target + 2
     basis: List[np.ndarray] = []
     for m in gen_set.matrices:
         res = reference_extend(basis, m, tol=tol, normalizer=1.0)
@@ -105,11 +97,6 @@ def reference_closure(
     rounds = 0
     frontier_start = 0
     while frontier_start < len(basis) < target:
-        if rounds == max_rounds:
-            raise NonConvergenceError(
-                f"basis still growing after {max_rounds} rounds "
-                f"(dimension {len(basis)} of {target}); revisit the tolerance"
-            )
         rounds += 1
         frontier_end = len(basis)
         for i in range(frontier_start, frontier_end):
@@ -187,20 +174,16 @@ def off_support(unit: np.ndarray, codes: np.ndarray, l: int, n: int) -> float:
     return float(np.sqrt(np.sum(np.abs(components) ** 2)))
 
 
-def reference_routed_closure(
-    gen_set: GeneratorSet,
-    max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
-) -> ClosureResult:
+def reference_routed_closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     """:func:`quditkit.closure` seeding the dense engine's basis first and
     searching the support of the orthonormal seeds."""
     real = gen_set.mode == REAL_ANTIHERMITIAN
-    builder, max_rounds = _seed(gen_set, max_rounds, tol, lambda d, tol: universality._BasisBuilder(d, tol, real))
+    builder = _seed(gen_set, tol, lambda d, tol: universality._BasisBuilder(d, tol, real))
     found = _orthonormal_support(builder.elements(), gen_set.mode, tol)
     if found is None:
-        return universality._dense_sweep(builder, max_rounds)
+        return universality._dense_sweep(builder)
     del builder  # frees the seeds before the index search
-    return universality._monomial_closure(*found, gen_set.mode, max_rounds, tol)
+    return universality._monomial_closure(*found, gen_set.mode, tol)
 
 
 def _orthonormal_support(
@@ -222,9 +205,7 @@ def _orthonormal_support(
     return None
 
 
-def reference_monomial_closure(
-    l: int, n: int, seed_codes: np.ndarray, mode: str, max_rounds: int, tol: float
-) -> ClosureResult:
+def reference_monomial_closure(l: int, n: int, seed_codes: np.ndarray, mode: str, tol: float) -> ClosureResult:
     """The monomial engine's sweep gathering each partner's digits from the
     code table and forming the symplectic form from two half products."""
     d = l**n
@@ -240,8 +221,6 @@ def reference_monomial_closure(
     rounds = 0
     frontier_start = 0
     while frontier_start < size < target:
-        if rounds == max_rounds:
-            raise _non_convergence(max_rounds, size, target)
         rounds += 1
         frontier_end = size
         for i in range(frontier_start, frontier_end):
@@ -348,19 +327,13 @@ def reference_validate(dim: int, matrices: Sequence[np.ndarray], mode: str) -> N
 # complex projections.
 
 
-def complex_dense_closure(
-    gen_set: GeneratorSet,
-    max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
-) -> ClosureResult:
+def complex_dense_closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     """``universality._dense_closure`` with every sweep in complex arithmetic."""
-    return _dense_sweep(*_seed(gen_set, max_rounds, tol))
+    return _dense_sweep(_seed(gen_set, tol))
 
 
-def _seed(
-    gen_set: GeneratorSet, max_rounds: Optional[int], tol: float, make_builder=None
-) -> Tuple["ComplexBasisBuilder", int]:
-    """The basis builder holding the seeds, and the round cap.
+def _seed(gen_set: GeneratorSet, tol: float, make_builder=None) -> "ComplexBasisBuilder":
+    """The basis builder holding the seeds.
 
     ``make_builder(d, tol)`` makes the builder, a :class:`ComplexBasisBuilder`
     by default.
@@ -369,8 +342,6 @@ def _seed(
         raise ValueError("generator set is empty")
     _check_tolerance(tol)
     d = gen_set.dim
-    if max_rounds is None:
-        max_rounds = d * d + 1  # the target dimension + 2
     builder = (make_builder or ComplexBasisBuilder)(d, tol)
     norms = [np.linalg.norm(m) for m in gen_set.matrices]
     floor = tol * max(norms)
@@ -381,16 +352,14 @@ def _seed(
             break  # the basis already spans every d x d matrix
         if norm > floor:
             builder.offer(m)
-    return builder, max_rounds
+    return builder
 
 
-def _dense_sweep(builder: "ComplexBasisBuilder", max_rounds: int) -> ClosureResult:
+def _dense_sweep(builder: "ComplexBasisBuilder") -> ClosureResult:
     target = builder.d * builder.d - 1
     rounds = 0
     frontier_start = 0
     while frontier_start < builder.size < target:
-        if rounds == max_rounds:
-            raise _non_convergence(max_rounds, builder.size, target)
         rounds += 1
         frontier_end = builder.size
         for i in range(frontier_start, frontier_end):

@@ -460,7 +460,7 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(quditkit.__all__) == [
         "COMPLEX_TRACELESS", "ClosureResult", "ExtendResult", "GENERATOR_SET_NAMES",
         "GateSpec", "GeneratorFamily", "GeneratorSet", "MODES", "NoMatchingPowerError",
-        "NonConvergenceError", "QuditState", "REAL_ANTIHERMITIAN", "RootOfUnity",
+        "QuditState", "REAL_ANTIHERMITIAN", "RootOfUnity",
         "VerifyCheck", "VerifyReport", "__version__", "apply_full", "apply_kgate", "as_matrix",
         "basis_state", "biproducts", "canonical_generators", "clifford_generators",
         "clock_matrix", "closure", "commutation_matrix", "cyclic_shift_gate", "dagger",

@@ -33,7 +33,6 @@ from quditkit import (
     MODES,
     REAL_ANTIHERMITIAN,
     GeneratorSet,
-    NonConvergenceError,
     clock_matrix,
     closure,
     max_abs,
@@ -397,12 +396,9 @@ class TestDensePathUnchanged:
 # ------------------------------------------------------------ digit-row sweep
 
 
-def assert_same_sweep(l, n, seed_codes, mode, max_rounds):
-    got = _outcome(lambda: _monomial_closure(l, n, seed_codes, mode, max_rounds, 1e-9))
-    ref = _outcome(lambda: reference_monomial_closure(l, n, seed_codes, mode, max_rounds, 1e-9))
-    if isinstance(ref, str):
-        assert got == ref
-        return
+def assert_same_sweep(l, n, seed_codes, mode):
+    got = _monomial_closure(l, n, seed_codes, mode, 1e-9)
+    ref = reference_monomial_closure(l, n, seed_codes, mode, 1e-9)
     assert np.array_equal(got.basis.codes, ref.basis.codes)
     assert (got.rounds, got.achieved_dim, got.universal) == (ref.rounds, ref.achieved_dim, ref.universal)
 
@@ -415,19 +411,19 @@ def test_sweep_matches_the_reference_on_named_sets(name, mode):
         gen = prepare_generators(named_generator_set(name, l, n), mode)
         found = _monomial_support(*_kept_seeds(gen, 1e-9), gen.dim, mode, 1e-9)
         assert found is not None, (l, n)
-        assert_same_sweep(*found, mode, gen.dim**2 + 1)
+        assert_same_sweep(*found, mode)
 
 
 @st.composite
 def seed_code_sets(draw):
-    """(l, n, seed codes, mode, round cap): distinct nonzero codes, closed
-    under negation in real mode, each x followed by -x."""
+    """(l, n, seed codes, mode): distinct nonzero codes, closed under
+    negation in real mode, each x followed by -x."""
     l, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 1), (7, 1)]))
     mode = draw(st.sampled_from(MODES))
     codes = np.array(draw(st.lists(st.integers(1, l ** (2 * n) - 1), min_size=1, max_size=6, unique=True)))
     if mode == REAL_ANTIHERMITIAN:
         codes = _reference_with_negations(codes, _negated(l, n))
-    return l, n, codes, mode, draw(st.sampled_from([1, 2, l ** (2 * n) + 1]))
+    return l, n, codes, mode
 
 
 @_property
@@ -442,7 +438,7 @@ def test_sweep_matches_the_reference_on_random_seed_codes(case):
 def _outcome(call):
     try:
         return call()
-    except (ValueError, NonConvergenceError) as exc:
+    except ValueError as exc:
         return str(exc)
 
 

@@ -10,7 +10,6 @@ import pytest
 from quditkit import (
     COMPLEX_TRACELESS,
     GeneratorSet,
-    NonConvergenceError,
     REAL_ANTIHERMITIAN,
     biproducts,
     clifford_generators,
@@ -156,11 +155,11 @@ class TestClosureProperties:
                 value = hs_inner(a, b, normalizer=1.0)
                 assert abs(value - (1.0 if i == j else 0.0)) <= 10 * result.tolerance_used
 
-    def test_round_cap_raises(self):
-        mats = universal_augmentation(clifford_generators(2))
-        gen = prepare_generators(mats, REAL_ANTIHERMITIAN)
-        with pytest.raises(NonConvergenceError, match="still growing"):
-            closure(gen, max_rounds=0)
+    @pytest.mark.parametrize("engine", [closure, _dense_closure])
+    def test_tolerance_is_keyword_only(self, engine):
+        gen = prepare_generators(qudit_universal_set(3, 1), REAL_ANTIHERMITIAN)
+        with pytest.raises(TypeError):
+            engine(gen, 1e-9)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
