@@ -310,14 +310,17 @@ def test_cli_reports_match_the_recorded_ones(name):
         assert _run_cli(["closure"] + key.split()) == REPORTS[key], key
 
 
-def test_recorded_reports_take_at_most_one_round_per_element():
+TEXT_REPORTS = [key for key in REPORTS if key.endswith("structured-text")]
+
+
+@pytest.mark.parametrize("key", TEXT_REPORTS)
+def test_recorded_reports_take_at_most_one_round_per_element(key):
     # Every round but the last adds an element, so no run counts more rounds
     # than its achieved dimension; the reports are pinned to the live ones above.
-    texts = [report["stdout"] for key, report in REPORTS.items() if key.endswith("structured-text")]
-    assert len(texts) == len(REPORTS) // 2
-    for text in texts:
-        fields = dict(line.split(": ", 1) for line in text.splitlines())
-        assert int(fields["rounds"]) <= int(fields["achieved-dim"]), text
+    assert len(TEXT_REPORTS) == len(REPORTS) // 2
+    text = REPORTS[key]["stdout"]
+    fields = dict(line.split(": ", 1) for line in text.splitlines())
+    assert int(fields["rounds"]) <= int(fields["achieved-dim"]), text
 
 
 def test_generalized_qubit_reports_match_clifford():

@@ -64,18 +64,18 @@ class TestPairConstruction:
         # geometric sum of all l-th roots of unity
         assert abs(np.trace(clock_matrix(l))) <= 1e-13
 
-    def test_bytes_match_the_direct_construction(self):
+    @pytest.mark.parametrize("l", range(2, 65))
+    def test_bytes_match_the_direct_construction(self, l):
         # The pair is built as the monomials W(1, 0) and W(0, 1), and zeta and
         # nu as the first powers; the bytes are those built directly.
-        for l in range(2, 65):
-            idx = np.arange(l)
-            shift = np.zeros((l, l), dtype=complex)
-            shift[idx, (idx + 1) % l] = 1.0
-            clock = np.diag(np.exp(2j * np.pi * idx / l))
-            assert shift_matrix(l).tobytes() == shift.tobytes(), l
-            assert clock_matrix(l).tobytes() == clock.tobytes(), l
-            root = RootOfUnity(l)
-            assert (root.zeta, root.nu) == (complex(np.exp(2j * np.pi / l)), complex(np.exp(1j * np.pi / l))), l
+        idx = np.arange(l)
+        shift = np.zeros((l, l), dtype=complex)
+        shift[idx, (idx + 1) % l] = 1.0
+        clock = np.diag(np.exp(2j * np.pi * idx / l))
+        assert shift_matrix(l).tobytes() == shift.tobytes()
+        assert clock_matrix(l).tobytes() == clock.tobytes()
+        root = RootOfUnity(l)
+        assert (root.zeta, root.nu) == (complex(np.exp(2j * np.pi / l)), complex(np.exp(1j * np.pi / l)))
 
     def test_rejects_l_below_two(self):
         with pytest.raises(ValueError):
