@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .linalg import as_matrix
-from .weyl import _check_order
+from .weyl import _check_order, _nu_powers
 
 __all__ = [
     "QuditState",
@@ -164,10 +164,8 @@ def qft_matrix(l: int, normalized: bool = False) -> np.ndarray:
     """Discrete Fourier matrix with entries zeta^(k*j); unitary when normalized by 1/sqrt(l)."""
     l = _check_order(l)
     k = np.arange(l)
-    f = np.exp(2j * np.pi * (np.outer(k, k) % l) / l)
-    if normalized:
-        f = f / np.sqrt(l)
-    return f
+    f = _nu_powers(l)[2 * (np.outer(k, k) % l)]
+    return f / np.sqrt(l) if normalized else f
 
 
 def momentum_basis(l: int) -> List[QuditState]:

@@ -6,8 +6,8 @@ active factor walking left as the generator index grows):
 * ``clifford_generators``: 2n anticommuting involutions on n qubits, the
   sigma1/sigma2 body with a sigma3 tail.
 * ``generalized_generators``: the order-l analogue built from the tau triple;
-  consecutive elements zeta-commute and the family reduces to the Clifford
-  one at l=2, up to rounding.
+  consecutive elements zeta-commute and the family is the Clifford one at
+  l=2, bit for bit.
 * ``canonical_generators``: per-site shift/clock pairs, whose commutation
   exponents form the block-diagonal symplectic pattern.
 
@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .linalg import dagger, max_abs
-from .weyl import RootOfUnity, clock_matrix, shift_matrix, tau_matrices
+from .weyl import RootOfUnity, _check_order, _monomials, tau_matrices
 
 __all__ = [
     "pauli",
@@ -41,12 +41,7 @@ __all__ = [
     "named_generator_set",
 ]
 
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULI = (np.eye(2, dtype=complex),) + tau_matrices(2)
 
 _KINDS = ("clifford", "generalized", "canonical")
 
@@ -133,14 +128,11 @@ def generalized_generators(l: int, n: int) -> GeneratorFamily:
 
     Same tensor pattern with the tau triple in place of the Pauli matrices;
     earlier elements zeta-commute past later ones and every element has
-    order l.  At l=2 it matches :func:`clifford_generators` within 1e-14, as the
-    tests check at n = 1, 2, but not bit for bit: its phases come from nu, and
-    entries differ by 1.8e-16 at n=1 and 4.3e-16 at n=3.
+    order l.  At l=2 its matrices are those of :func:`clifford_generators` bit for bit.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t1, t2, t3 = tau_matrices(l)
-    return _walking_family(l, n, "generalized", (np.eye(l, dtype=complex), t1, t2, t3))
+    return _walking_family(l, n, "generalized", (np.eye(l, dtype=complex),) + tau_matrices(l))
 
 
 def _walking_family(l: int, n: int, kind: str, factors) -> GeneratorFamily:
@@ -163,8 +155,7 @@ def canonical_generators(l: int, n: int) -> GeneratorFamily:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    u = shift_matrix(l)
-    v = clock_matrix(l)
+    u, v = _monomials(_check_order(l), 1, [l, 1])  # shift and clock
     eyes = [np.eye(l**k, dtype=complex) for k in range(n)]
     mats = tuple(_kron_chain([eyes[site], m, eyes[n - site - 1]]) for site in range(n) for m in (u, v))
     return GeneratorFamily(l, n, "canonical", mats)

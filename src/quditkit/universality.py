@@ -89,12 +89,14 @@ class GeneratorSet:
     dim: int
     matrices: Tuple[np.ndarray, ...]
     mode: str
+    _per_input = 1  # consecutive matrices per input; errors name the input
 
     @classmethod
     def _prepared(cls, name: str, dim: int, matrices: Tuple[np.ndarray, ...], mode: str) -> "GeneratorSet":
         """A set :func:`prepare_generators` made valid by construction; no checks run, in either mode."""
         prepared = object.__new__(cls)
-        vars(prepared).update(name=name, dim=dim, matrices=matrices, mode=mode)
+        per_input = 1 + (mode == REAL_ANTIHERMITIAN)  # real mode splits each input in two
+        vars(prepared).update(name=name, dim=dim, matrices=matrices, mode=mode, _per_input=per_input)
         return prepared
 
     def __post_init__(self):
@@ -313,7 +315,7 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
 
     ``tol`` must be finite and at least machine epsilon (:class:`ValueError` otherwise).
     An input whose Frobenius norm overflows to infinity, possible once its
-    entries reach about 1e154, raises :class:`ValueError` naming it.
+    entries reach about 1e154, raises :class:`ValueError` naming its input index.
     Every round but the last adds an element, so a run ends within d^2 - 1
     rounds (see :func:`_run_rounds`).
     """
@@ -333,11 +335,11 @@ def _dense_closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult
 
 def _kept_seeds(gen_set: GeneratorSet, tol: float) -> Tuple[List[np.ndarray], np.ndarray]:
     """The inputs whose norm exceeds ``tol`` times the largest, and their norms;
-    ``ValueError`` for the first input whose norm overflows."""
+    ``ValueError`` naming the first input whose norm overflows."""
     with np.errstate(over="ignore"):
         norms = np.array([np.linalg.norm(m) for m in gen_set.matrices])
     if np.isinf(norms.max()):
-        raise ValueError(f"matrix {np.argmax(norms)} has a norm that overflows")
+        raise ValueError(f"matrix {np.argmax(norms) // gen_set._per_input} has a norm that overflows")
     kept = norms > tol * norms.max()
     return [m for m, keep in zip(gen_set.matrices, kept) if keep], norms[kept]
 

@@ -94,8 +94,9 @@ def run_verification(
 
 def _single_system_checks(add, l: int) -> None:
     """Single-system relations at order l."""
-    u = weyl.shift_matrix(l)
-    v = weyl.clock_matrix(l)
+    # monomials[a * l + b] is W(a, b); U and V are W(1, 0) and W(0, 1)
+    monomials = weyl._monomials(l, 1, np.arange(l * l))
+    u, v = monomials[l], monomials[1]
     eye = np.eye(l, dtype=complex)
 
     add(
@@ -116,8 +117,6 @@ def _single_system_checks(add, l: int) -> None:
         1e-12,
     )
 
-    # monomials[a * l + b] is W(a, b)
-    monomials = np.stack([weyl.weyl_element(l, a, b) for a in range(l) for b in range(l)])
     flat = monomials.reshape(l * l, l * l)
     gram = flat @ flat.conj().T
     gram /= l
@@ -200,25 +199,11 @@ def _single_system_checks(add, l: int) -> None:
         1e-12,
     )
 
-    increment = circuit.cyclic_shift_gate(l)
-    eigen = 0.0
-    for k in range(l):
-        ket = circuit.basis_state(l, 1, [k])
-        shifted = circuit.apply_full(increment, ket)
-        eigen = max(
-            eigen,
-            max_abs(shifted.amplitudes - circuit.basis_state(l, 1, [(k + 1) % l]).amplitudes),
-        )
-        clocked = circuit.apply_full(v, ket)
-        eigen = max(
-            eigen,
-            max_abs(clocked.amplitudes - weyl.RootOfUnity(l).zeta_power(k) * ket.amplitudes),
-        )
     add(
         "circuit-eigenrelations",
         "V|k> = zeta^k |k>, N|k> = |k+1 mod l>",
         f"l={l}",
-        eigen,
+        _eigenrelations_residual(l),
         1e-14,
     )
 
@@ -280,13 +265,25 @@ def _closed_form_residual(monomials: np.ndarray, l: int) -> float:
 def _commutator_phases(l: int) -> np.ndarray:
     """The (l, l) table ``zeta^(-x*y)`` from which every monomial commutator is read.
 
-    ``[W(a, b), W(c, d)]`` is ``phases[b, c] - phases[a, d]`` times
-    ``W(a + c, b + d)``, the values :func:`weyl.weyl_commutator_coefficient`
-    returns, taken from the same l values of :meth:`weyl.RootOfUnity.zeta_power`.
+    ``[W(a, b), W(c, d)]`` is ``phases[b, c] - phases[a, d]`` times ``W(a + c, b + d)``,
+    read from the root table, as :func:`weyl.weyl_commutator_coefficient` is.
     """
-    root = weyl.RootOfUnity(l)
     x = np.arange(l)
-    return np.array([root.zeta_power(k) for k in range(l)])[-np.outer(x, x) % l]
+    return weyl._nu_powers(l)[2 * (-np.outer(x, x) % l)]
+
+
+def _eigenrelations_residual(l: int) -> float:
+    """Max residual of ``V|k> = zeta^k |k>`` and ``N|k> = |k+1 mod l>`` over the l basis kets."""
+    v, increment, root = weyl.clock_matrix(l), circuit.cyclic_shift_gate(l), weyl.RootOfUnity(l)
+    eigen = 0.0
+    for k in range(l):
+        ket, raised = circuit.basis_state(l, 1, [k]), circuit.basis_state(l, 1, [(k + 1) % l])
+        eigen = max(
+            eigen,
+            max_abs(circuit.apply_full(increment, ket).amplitudes - raised.amplitudes),
+            max_abs(circuit.apply_full(v, ket).amplitudes - root.zeta_power(k) * ket.amplitudes),
+        )
+    return eigen
 
 
 def _clifford_checks(add, n: int) -> None:

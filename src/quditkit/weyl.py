@@ -6,6 +6,8 @@ The two matrices
     clock:  diag(1, zeta, zeta^2, ..., zeta^(l-1)),  zeta = exp(2*pi*i/l)
 
 satisfy ``shift @ clock == zeta * clock @ shift`` and both have order l.
+Every zeta^k and nu^k, nu = exp(i*pi/l), in the package is read from one
+table, exact at the quarter turns 1, i, -1 and -i.
 The l^2 monomials ``shift^a @ clock^b`` form a basis of the full matrix
 algebra, orthonormal under the trace inner product with normalizer l, which
 gives a decomposition of arbitrary matrices into monomial coefficients.
@@ -33,6 +35,8 @@ basis indices model classical register values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import mul
 from typing import Optional, Tuple
 
 import numpy as np
@@ -65,12 +69,27 @@ def _check_order(l: int) -> int:
     return int(l)
 
 
+@cache
+def _nu_powers(l: int) -> np.ndarray:
+    """Read-only ``nu^k`` for k < 2l, ``nu = exp(i*pi/l)``, so ``zeta^k`` is entry 2k.
+
+    One array ``exp`` gives every entry; quarter turns are written as exact 1, i, -1, -i.
+    """
+    k = np.arange(2 * l)
+    table = np.exp(1j * np.pi * k / l)
+    quarter = 2 * k % l == 0
+    table[quarter] = np.array([1, 1j, -1, -1j])[2 * k[quarter] // l]
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class RootOfUnity:
     """Primitive l-th root of unity ``zeta`` and its principal square root ``nu``.
 
     ``nu = exp(i*pi/l)`` fixes a branch for half-integer powers of ``zeta``,
-    which is needed for even l where ``zeta**(1/2)`` is ambiguous.
+    which is needed for even l where ``zeta**(1/2)`` is ambiguous.  Powers
+    come from the table every matrix reads, so they are exact at quarter turns.
     """
 
     l: int
@@ -87,12 +106,12 @@ class RootOfUnity:
         return self.nu_power(1)
 
     def zeta_power(self, k: int) -> complex:
-        """``zeta**k`` computed from a reduced angle (exact periodicity)."""
-        return complex(np.exp(2j * np.pi * (int(k) % self.l) / self.l))
+        """``zeta**k``, read at the reduced exponent (exact periodicity)."""
+        return self.nu_power(2 * (int(k) % self.l))
 
     def nu_power(self, k: int) -> complex:
         """``nu**k``; nu has order 2l."""
-        return complex(np.exp(1j * np.pi * (int(k) % (2 * self.l)) / self.l))
+        return complex(_nu_powers(self.l)[int(k) % (2 * self.l)])
 
 
 def shift_matrix(l: int) -> np.ndarray:
@@ -123,7 +142,7 @@ def _check_index(l: int, value: int, name: str) -> int:
 
 
 def weyl_element(l: int, a: int, b: int) -> np.ndarray:
-    """Monomial ``shift^a @ clock^b``, built entrywise.
+    """Monomial ``shift^a @ clock^b``, built entrywise by :func:`_monomials`.
 
     The product has one nonzero per row: row i holds ``zeta**(b*j)`` in
     column ``j = (i + a) mod l``.
@@ -131,19 +150,13 @@ def weyl_element(l: int, a: int, b: int) -> np.ndarray:
     l = _check_order(l)
     a = _check_index(l, a, "shift power a")
     b = _check_index(l, b, "clock power b")
-    idx = np.arange(l)
-    cols = (idx + a) % l
-    m = np.zeros((l, l), dtype=complex)
-    m[idx, cols] = np.exp(2j * np.pi * ((b * cols) % l) / l)
-    return m
+    return _monomials(l, 1, [a * l + b])[0]
 
 
 def weyl_commutation_residual(l: int) -> float:
     """Max-entry residual of ``shift @ clock - zeta * clock @ shift``."""
-    u = shift_matrix(l)
-    v = clock_matrix(l)
-    zeta = RootOfUnity(l).zeta
-    return max_abs(u @ v - zeta * (v @ u))
+    u, v = _monomials(_check_order(l), 1, [l, 1])  # W(1, 0) and W(0, 1)
+    return max_abs(u @ v - RootOfUnity(l).zeta * (v @ u))
 
 
 def weyl_decompose(m, l: int, n: int = 1) -> np.ndarray:
@@ -241,7 +254,15 @@ def _monomial_entries(l: int, n: int, codes: np.ndarray) -> Tuple[np.ndarray, np
     col_digits = (digits[None, :, :] + digits[shifts][:, None, :]) % l
     cols = col_digits @ (l ** np.arange(n - 1, -1, -1))
     powers = np.einsum("kin,kn->ki", col_digits, digits[clocks]) % l
-    return cols, np.exp(2j * np.pi * powers / l)
+    return cols, _nu_powers(l)[2 * powers]
+
+
+def _monomials(l: int, n: int, codes) -> np.ndarray:
+    """(k, d, d) stack of the monomials named by ``codes``, scattered from :func:`_monomial_entries`."""
+    cols, values = _monomial_entries(l, n, codes)
+    stack = np.zeros((len(cols), l**n, l**n), dtype=complex)
+    stack[np.arange(len(cols))[:, None], np.arange(l**n), cols] = values
+    return stack
 
 
 def _digits(l: int, n: int) -> np.ndarray:
@@ -277,22 +298,22 @@ def tau_matrices(l: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(shift, nu^(l-1) * shift @ clock, clock)``.  The middle element
     carries the phase ``nu^(l-1)`` so that all three have order exactly l,
-    and each earlier element zeta-commutes with each later one.  At l=2 the
-    triple equals the three Pauli matrices.
+    and each earlier element zeta-commutes with each later one; its entry in
+    column j is ``nu^(l-1+2j)``.  At l=2 the triple is the Pauli matrices bit for bit.
     """
     l = _check_order(l)
-    u = shift_matrix(l)
-    v = clock_matrix(l)
-    t2 = RootOfUnity(l).nu_power(l - 1) * (u @ v)
-    return u, t2, v
+    taus = _monomials(l, 1, [l, l + 1, 1])  # W(1, 0), W(1, 1), W(0, 1)
+    cols = (np.arange(l) + 1) % l
+    taus[1, cols - 1, cols] = _nu_powers(l)[(l - 1 + 2 * cols) % (2 * l)]
+    return tuple(taus)
 
 
 def fermat_power_residual(l: int, a: complex, b: complex) -> float:
     """Residual of the operator power-sum identity ``(a*clock + b*shift)^l = (a^l + b^l) 1``."""
     l = _check_order(l)
-    a = complex(a)
-    b = complex(b)
-    m = a * clock_matrix(l) + b * shift_matrix(l)
+    a, b = complex(a), complex(b)
+    v, u = _monomials(l, 1, [1, l])  # clock and shift
+    m = a * v + b * u
     powered = np.linalg.matrix_power(m, l)
     expected = (a**l + b**l) * np.eye(l, dtype=complex)
     return max_abs(powered - expected)
@@ -309,20 +330,11 @@ def scalar_factorization_residuals(
     compensated accumulation is needed at these magnitudes.
     """
     l = _check_order(l)
-    a = complex(a)
-    b = complex(b)
-    root = RootOfUnity(l)
+    a, b = complex(a), complex(b)
+    nus = [complex(z) for z in _nu_powers(l)]  # zeta^k is nus[2k]
     target = a**l + b**l
-    nu_product = 1.0 + 0.0j
-    for k in range(l):
-        nu_product *= a - root.nu_power(2 * k + 1) * b
-    residual_nu = abs(nu_product - target)
-    residual_odd: Optional[float] = None
-    if l % 2 == 1:
-        odd_product = 1.0 + 0.0j
-        for k in range(l):
-            odd_product *= a + root.zeta_power(k) * b
-        residual_odd = abs(odd_product - target)
+    residual_nu = abs(reduce(mul, [a - z * b for z in nus[1::2]], 1 + 0j) - target)
+    residual_odd = abs(reduce(mul, [a + z * b for z in nus[::2]], 1 + 0j) - target) if l % 2 else None
     return residual_odd, residual_nu
 
 

@@ -6,7 +6,9 @@ Run from the repository root to rewrite ``tests/data/generate_digests.json``:
 
 The grid covers each named set on small (l, n), ``qft`` with and without
 ``--normalized``, and ``weyl-pair`` and ``tau`` at l = 2, 3, 4, 5, 7;
-``tests/test_clifford.py`` checks the files still match.
+``tests/test_clifford.py`` checks the files still match.  Each recorded
+case whose files changed is printed as ``changed: <argv>``, so a rewrite
+lists what it moved.
 """
 
 import contextlib
@@ -54,9 +56,17 @@ def digest_case(argv):
         }
 
 
+def changed_cases(old, new):
+    """The cases of ``old`` whose files or digests differ in ``new``, sorted."""
+    return sorted(case for case, files in old.items() if new.get(case) != files)
+
+
 def main_digests():
     cases = {" ".join(argv): digest_case(argv) for argv in generate_cases()}
+    recorded = json.loads(DIGESTS_PATH.read_text())["cases"] if DIGESTS_PATH.exists() else {}
     DIGESTS_PATH.write_text(json.dumps({"command": COMMAND, "cases": cases}, indent=1, sort_keys=True) + "\n")
+    for case in changed_cases(recorded, cases):
+        print(f"changed: {case}")
     print(f"wrote {len(cases)} cases to {DIGESTS_PATH}", file=sys.stderr)
 
 

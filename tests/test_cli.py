@@ -264,6 +264,15 @@ class TestClosure:
         assert code == 2
         assert err == "error: matrix 0 has a norm that overflows\n"
 
+    @pytest.mark.parametrize("mode", ["real-antihermitian", "complex-traceless"])
+    def test_overflow_error_names_the_input_file_in_both_modes(self, tmp_path, capsys, mode):
+        # real mode splits each input in two; the error still names input 1
+        save_matrix(tmp_path / "a.json", clock_matrix(3))
+        save_matrix(tmp_path / "b.json", 1e160 * shift_matrix(3))
+        code, _, err = run(capsys, "closure", "--input", str(tmp_path), "--mode", mode)
+        assert code == 2
+        assert err == "error: matrix 1 has a norm that overflows\n"
+
     def test_set_and_input_are_exclusive(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "closure", "--set", "biproducts", "--input", str(tmp_path)

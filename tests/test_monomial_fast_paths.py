@@ -209,7 +209,9 @@ def test_part_off_the_support(case, data):
     l, n, _, mats, mode = case
     other = _monomial(l, n, data.draw(st.integers(0, l ** (2 * n) - 1)))
     size = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-4, 1.0]))
-    seed = prepare_generators([mats[0] + size * other], mode).matrices[0]
+    # a real-mode part can be exactly zero, as i (M + M*) is for an anti-Hermitian M
+    prepared = prepare_generators([mats[0] + size * other], mode).matrices
+    seed = data.draw(st.sampled_from([m for m in prepared if np.linalg.norm(m) > 0]))
     codes = np.array(data.draw(st.lists(st.integers(0, l ** (2 * n) - 1), unique=True, max_size=6)), dtype=np.intp)
     norm = np.linalg.norm(seed)
     ref = closure_reference.off_support(seed / norm, codes, l, n)
@@ -562,6 +564,19 @@ class TestStackedPreprocessing:
         # finite entries of 1e160 whose squares overflow the Frobenius norm
         gen = prepare_generators([1e160 * shift_matrix(3), clock_matrix(3)], mode)
         with pytest.raises(ValueError, match=r"^matrix 0 has a norm that overflows$"):
+            closure(gen)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflow_names_the_input_of_a_prepared_set(self, mode):
+        # real mode keeps two matrices per input, and the error still names input 1
+        gen = prepare_generators([clock_matrix(3), 1e160 * shift_matrix(3)], mode)
+        with pytest.raises(ValueError, match=r"^matrix 1 has a norm that overflows$"):
+            closure(gen)
+
+    def test_overflow_names_the_matrix_of_a_hand_built_set(self):
+        w = weyl_element(3, 1, 0) - weyl_element(3, 2, 0)  # anti-Hermitian
+        gen = GeneratorSet("", 3, (w, 1j * clock_matrix(3).real, 1e160 * w), REAL_ANTIHERMITIAN)
+        with pytest.raises(ValueError, match=r"^matrix 2 has a norm that overflows$"):
             closure(gen)
 
     def test_peak_memory_is_one_stack_copy_plus_the_split(self):

@@ -19,6 +19,7 @@ from quditkit.verify import (
     VerifyCheck,
     _closed_form_residual,
     _commutator_phases,
+    _eigenrelations_residual,
 )
 from weyl_reference import blocked_closed_form_residual, reference_closed_form_residual
 
@@ -116,24 +117,39 @@ def _checked_closed_form(l):
     return check
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 16])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_closed_form_residual_matches_per_commutator_reference_exactly(l):
     assert _checked_closed_form(l).residual == reference_closed_form_residual(l)
 
 
-@pytest.mark.parametrize("l", [2, 3, 10, 12, 14, 15, 18])
+@pytest.mark.parametrize("l", [2, 3, 12, 14, 15, 18, 19])
 def test_closed_form_residual_matches_blocked_reference_exactly(l):
     assert _checked_closed_form(l).residual == blocked_closed_form_residual(l)
 
 
-@pytest.mark.parametrize("l", [17, 19])
+@pytest.mark.parametrize("l", [6, 10, 17])
 def test_closed_form_residual_within_one_rounding_of_blas_products(l):
     # The dense references take each product W(p) W(q) from the BLAS, whose
     # kernels fuse some of the complex multiplications that numpy rounds
     # step by step.  At these orders that moves the max residual in its last
-    # digits (1.4697e-15 against 1.4603e-15 at l=17), less than one rounding
-    # of a unit product.
+    # digits (1.1244e-15 against 1.1614e-15 at l=6, 8.0059e-16 against
+    # 7.4476e-16 at l=10, 1.4697e-15 against 1.4603e-15 at l=17), less than
+    # one rounding of a unit product.
     assert abs(_checked_closed_form(l).residual - blocked_closed_form_residual(l)) <= 2.0**-52
+
+
+@pytest.mark.parametrize("l", range(2, 65))
+def test_circuit_eigenrelations_are_exact(l):
+    # V's entries and zeta^k are read from one root table, so V|k> - zeta^k |k>
+    # vanishes exactly, as the permutation N does
+    assert _eigenrelations_residual(l) == 0.0
+
+
+def test_circuit_eigenrelations_row_reads_the_exact_residual():
+    # at l=6 the row read 8.95e-16 while the clock and zeta^k were evaluated apart
+    report = run_verification(dims=(6,), sites=(1,))
+    (check,) = [c for c in report.checks if c.name == "circuit-eigenrelations"]
+    assert check.residual == 0.0
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8, 9])
@@ -187,19 +203,21 @@ def _columns_swapped(m):
 @pytest.mark.parametrize("mutate", [_phase_off, _stray_entry, _columns_swapped])
 @pytest.mark.parametrize("l", [3, 5])
 def test_closed_form_check_reads_the_matrices(monkeypatch, mutate, l):
-    # one monomial, W(2, 1), is built wrong; the check and the dense
-    # reference must both see it.  For an entry off the one-per-row pattern
-    # the check's residual is at least that entry's size.
-    build = quditkit.weyl.weyl_element
+    # one monomial, W(2, 1), is built wrong wherever a stack of single-site
+    # monomials holds it; the check and the dense reference must both see
+    # it.  For an entry off the one-per-row pattern the check's residual is
+    # at least that entry's size.
+    build = quditkit.weyl._monomials
     bound = []
 
-    def mutated(l, a, b):
-        m = build(l, a, b)
-        if (a, b) == (2, 1):
-            bound.append(mutate(m))
-        return m
+    def mutated(l, n, codes):
+        stack = build(l, n, codes)
+        for m, code in zip(stack, codes):
+            if (n, code) == (1, 2 * l + 1):
+                bound.append(mutate(m))
+        return stack
 
-    monkeypatch.setattr(quditkit.weyl, "weyl_element", mutated)
+    monkeypatch.setattr(quditkit.weyl, "_monomials", mutated)
     check = _checked_closed_form(l)
     assert not check.passed
     assert check.residual >= bound[0]

@@ -10,6 +10,7 @@ from quditkit import (
     fermat_power_residual,
     hs_inner,
     max_abs,
+    pauli,
     reflection_matrix,
     rotated_basis_element,
     scalar_factorization_residuals,
@@ -44,7 +45,7 @@ class TestPairConstruction:
         assert max_abs(shift_matrix(2) - SIGMA1) == 0
 
     def test_l2_clock_is_sigma3(self):
-        assert max_abs(clock_matrix(2) - SIGMA3) <= 1e-15
+        assert max_abs(clock_matrix(2) - SIGMA3) == 0
 
     def test_l3_shift_is_three_cycle(self):
         u = shift_matrix(3)
@@ -65,17 +66,33 @@ class TestPairConstruction:
         assert abs(np.trace(clock_matrix(l))) <= 1e-13
 
     @pytest.mark.parametrize("l", range(2, 65))
-    def test_bytes_match_the_direct_construction(self, l):
-        # The pair is built as the monomials W(1, 0) and W(0, 1), and zeta and
-        # nu as the first powers; the bytes are those built directly.
-        idx = np.arange(l)
-        shift = np.zeros((l, l), dtype=complex)
-        shift[idx, (idx + 1) % l] = 1.0
-        clock = np.diag(np.exp(2j * np.pi * idx / l))
-        assert shift_matrix(l).tobytes() == shift.tobytes()
-        assert clock_matrix(l).tobytes() == clock.tobytes()
+    def test_root_powers_are_the_clock_entries(self, l):
+        # one table serves the scalars and the matrices: zeta^k is the clock's
+        # k-th entry bit for bit, and nu^(2k) is zeta^k; the shift is the
+        # plain cyclic permutation
+        assert shift_matrix(l).tobytes() == np.roll(np.eye(l, dtype=complex), 1, axis=1).tobytes()
         root = RootOfUnity(l)
-        assert (root.zeta, root.nu) == (complex(np.exp(2j * np.pi / l)), complex(np.exp(1j * np.pi / l)))
+        zetas = np.array([root.zeta_power(k) for k in range(l)])
+        assert zetas.tobytes() == clock_matrix(l).diagonal().tobytes()
+        assert np.array([root.nu_power(2 * k) for k in range(l)]).tobytes() == zetas.tobytes()
+
+    @pytest.mark.parametrize("l", range(2, 65))
+    def test_quarter_turns_are_exact(self, l):
+        # nu^k with 2k = 0 mod l is exactly 1, i, -1 or -i; every other power
+        # has two nonzero parts
+        root = RootOfUnity(l)
+        for k in range(2 * l):
+            z = root.nu_power(k)
+            if 2 * k % l == 0:
+                assert z == (1, 1j, -1, -1j)[2 * k // l]
+            else:
+                assert z.real != 0 and z.imag != 0
+
+    def test_l2_pair_and_taus_are_the_pauli_bytes(self):
+        # the literal Pauli matrices, -1j with its negative zero real part included
+        assert clock_matrix(2).tobytes() == SIGMA3.tobytes() == pauli(3).tobytes()
+        for i, (tau, sigma) in enumerate(zip(tau_matrices(2), (SIGMA1, SIGMA2, SIGMA3)), 1):
+            assert tau.tobytes() == sigma.tobytes() == pauli(i).tobytes()
 
     def test_rejects_l_below_two(self):
         with pytest.raises(ValueError):

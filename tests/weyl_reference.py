@@ -11,8 +11,9 @@ commutators by matrix products instead: ``reference_closed_form_residual``
 decomposes them one at a time, and ``blocked_closed_form_residual``
 decomposes the l^2 commutators of one left monomial as one (l^2, l, l)
 block, O(l^7) in all.  Both build the monomials through
-``quditkit.weyl.weyl_element`` at call time, so a test that replaces it
-changes them too.  Nothing in the package imports this module.
+``quditkit.weyl.weyl_element``, which scatters them with
+``quditkit.weyl._monomials`` at call time, as the check does, so a test
+that replaces that changes them too.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
