@@ -94,18 +94,20 @@ class GeneratorFamily:
                 f"expected {2 * self.n} generators, got {len(self.matrices)}"
             )
         d = self.l**self.n
-        # the first failing generator raises; its shape is checked before its order
-        shaped = next(
-            (idx for idx, g in enumerate(self.matrices) if g.shape != (d, d)), len(self.matrices)
-        )
-        if shaped:
-            power = np.linalg.matrix_power(np.stack(self.matrices[:shaped]), self.l)
+        # the first failing generator raises; its shape is checked first, then
+        # that its entries are finite, then its order
+        g = self.matrices
+        shaped = next((k for k, m in enumerate(g) if m.shape != (d, d)), len(g))
+        finite = next((k for k, m in enumerate(g[:shaped]) if not np.isfinite(m).all()), shaped)
+        if finite:
+            power = np.linalg.matrix_power(np.stack(g[:finite]), self.l)
             failed = np.flatnonzero(np.abs(power - np.eye(d)).max(axis=(1, 2)) > _ORDER_TOL)
             if failed.size:
                 raise ValueError(f"generator {failed[0]} does not have order {self.l}")
-        if shaped < len(self.matrices):
-            g = self.matrices[shaped]
-            raise ValueError(f"generator {shaped} has shape {g.shape}, expected {(d, d)}")
+        if finite < shaped:
+            raise ValueError(f"generator {finite} has non-finite entries")
+        if shaped < len(g):
+            raise ValueError(f"generator {shaped} has shape {g[shaped].shape}, expected {(d, d)}")
 
     @property
     def dim(self) -> int:
@@ -118,8 +120,6 @@ def clifford_generators(n: int) -> GeneratorFamily:
     Element 2k (2k+1) is identity on the leading n-k-1 sites, sigma1 (sigma2)
     on the next, and sigma3 on the trailing k sites.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return _walking_family(2, n, "clifford", _PAULI)
 
 
@@ -130,8 +130,6 @@ def generalized_generators(l: int, n: int) -> GeneratorFamily:
     earlier elements zeta-commute past later ones and every element has
     order l.  At l=2 its matrices are those of :func:`clifford_generators` bit for bit.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return _walking_family(l, n, "generalized", (np.eye(l, dtype=complex),) + tau_matrices(l))
 
 
@@ -153,22 +151,21 @@ def canonical_generators(l: int, n: int) -> GeneratorFamily:
     different sites commute, so the commutation matrix is block-diagonal
     with 2x2 symplectic blocks.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     u, v = _monomials(_check_order(l), 1, [l, 1])  # shift and clock
     eyes = [np.eye(l**k, dtype=complex) for k in range(n)]
     mats = tuple(_kron_chain([eyes[site], m, eyes[n - site - 1]]) for site in range(n) for m in (u, v))
     return GeneratorFamily(l, n, "canonical", mats)
 
 
-def commutation_matrix(fam: GeneratorFamily, tol: float = _POWER_MATCH_TOL) -> np.ndarray:
+def commutation_matrix(fam: GeneratorFamily) -> np.ndarray:
     """Extract the antisymmetric exponent table of a family.
 
-    For each pair i < j, the unique power c with
-    ``g_i @ g_j == zeta^c * g_j @ g_i`` (within ``tol``) is reduced to its
+    For each pair i < j the power c in ``g_i @ g_j == zeta^c * g_j @ g_i`` is
+    read from the phase of the inner product of the two products, then
+    checked once: the relation must hold within 1e-10.  c is reduced to its
     minimal-magnitude representative; the l=2 tie between +1 and -1 resolves
-    to +1 above the diagonal.  Raises :class:`NoMatchingPowerError` when no
-    power matches, and ``ValueError`` when the representative falls outside
+    to +1 above the diagonal.  Raises :class:`NoMatchingPowerError` when the
+    check fails, and ``ValueError`` when the representative falls outside
     {-1, 0, +1}.
     """
     size = len(fam.matrices)
@@ -178,17 +175,13 @@ def commutation_matrix(fam: GeneratorFamily, tol: float = _POWER_MATCH_TOL) -> n
         for j in range(i + 1, size):
             gij = fam.matrices[i] @ fam.matrices[j]
             gji = fam.matrices[j] @ fam.matrices[i]
-            matches = [
-                c
-                for c in range(fam.l)
-                if max_abs(gij - root.zeta_power(c) * gji) <= tol
-            ]
-            if len(matches) != 1:
+            c = round(float(np.angle(np.vdot(gji, gij))) * fam.l / (2 * np.pi)) % fam.l
+            residual = max_abs(gij - root.zeta_power(c) * gji)
+            if not residual <= _POWER_MATCH_TOL:  # NaN fails too
                 raise NoMatchingPowerError(
                     f"generators {i} and {j} are not zeta-power commuting "
-                    f"(matching powers: {matches})"
+                    f"(read power {c}, residual {residual:.3g})"
                 )
-            c = matches[0]
             rep = c if c <= fam.l - c else c - fam.l
             if rep not in (-1, 0, 1):
                 raise ValueError(

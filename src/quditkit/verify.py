@@ -292,7 +292,7 @@ def _clifford_checks(add, n: int) -> None:
     eye = np.eye(fam.dim, dtype=complex)
     residual = 0.0
     for i in range(len(e)):
-        for j in range(len(e)):
+        for j in range(i, len(e)):  # the sum is symmetric in i and j
             expected = 2.0 * eye if i == j else 0.0 * eye
             residual = max(residual, max_abs(e[i] @ e[j] + e[j] @ e[i] - expected))
     add(

@@ -2,7 +2,8 @@
 per-site canonical pairs, and the derived gate sets."""
 
 import json
-from functools import reduce
+import warnings
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from generate_digests import DIGESTS_PATH, digest_case, generate_cases
 
+from quditkit import clifford as clifford_module
 from quditkit import (
     GeneratorFamily,
     NoMatchingPowerError,
@@ -86,9 +88,16 @@ class TestCliffordGenerators:
         for e in fam.matrices:
             assert max_abs(e @ e - np.eye(8)) <= 1e-13
 
-    def test_rejects_bad_site_count(self):
-        with pytest.raises(ValueError):
-            clifford_generators(0)
+    # the builders leave the site count to GeneratorFamily, which checks it once
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [clifford_generators, partial(generalized_generators, 3), partial(canonical_generators, 3)],
+        ids=["clifford", "generalized", "canonical"],
+    )
+    def test_rejects_bad_site_count(self, build, n):
+        with pytest.raises(ValueError, match=rf"^need l >= 2 and n >= 1, got l=\d+, n={n}$"):
+            build(n)
 
     def test_single_site_family_owns_its_matrices(self):
         # at n=1 each generator is one factor, which used to be the shared
@@ -152,6 +161,39 @@ class TestCanonicalGenerators:
         assert max_abs(g[1] @ g[3] - g[3] @ g[1]) <= 1e-13
 
 
+def reference_commutation_matrix(fam):
+    """The exponent table found by trying every power of zeta, one dense
+    comparison each: the search ``commutation_matrix`` made before it read
+    the power from one inner product."""
+    size = len(fam.matrices)
+    root = RootOfUnity(fam.l)
+    table = np.zeros((size, size), dtype=int)
+    for i in range(size):
+        for j in range(i + 1, size):
+            gij = fam.matrices[i] @ fam.matrices[j]
+            gji = fam.matrices[j] @ fam.matrices[i]
+            matches = [c for c in range(fam.l) if max_abs(gij - root.zeta_power(c) * gji) <= 1e-10]
+            if len(matches) != 1:
+                raise NoMatchingPowerError(f"generators {i} and {j}: matching powers {matches}")
+            c = matches[0]
+            rep = c if c <= fam.l - c else c - fam.l
+            if rep not in (-1, 0, 1):
+                raise ValueError(f"commutation exponent {c} of pair ({i}, {j})")
+            table[i, j], table[j, i] = rep, -rep
+    return table
+
+
+def _uneven_phases():
+    # order 3, but the clock's phases are uneven, so no power of zeta relates the products
+    return GeneratorFamily(3, 1, "canonical", (shift_matrix(3), np.diag([1.0, 1.0, RootOfUnity(3).zeta])))
+
+
+def _exponent_two():
+    # U V^2 = zeta^2 V^2 U, and 2 has no representative in {-1, 0, +1} at l = 5
+    v = clock_matrix(5)
+    return GeneratorFamily(5, 1, "canonical", (shift_matrix(5), v @ v))
+
+
 class TestCommutationMatrix:
     def test_generalized_form(self):
         table = commutation_matrix(generalized_generators(3, 2))
@@ -207,11 +249,44 @@ class TestCommutationMatrix:
         assert np.array_equal(table_of(q @ g @ q.conj().T for g in fam.matrices), table)
 
     def test_rejects_non_power_commuting_pair(self):
-        u = shift_matrix(3)
-        skew = np.diag([1.0, 1.0, RootOfUnity(3).zeta])  # order 3 but uneven phases
-        fam = GeneratorFamily(3, 1, "canonical", (u, skew))
-        with pytest.raises(NoMatchingPowerError):
+        with pytest.raises(NoMatchingPowerError, match=r"^generators 0 and 1 are not zeta-power commuting"):
+            commutation_matrix(_uneven_phases())
+
+    def test_error_names_the_failing_pair(self):
+        mats = list(canonical_generators(3, 2).matrices)
+        mats[3] = np.kron(np.eye(3), _uneven_phases().matrices[1])  # fails only against generator 2
+        with pytest.raises(NoMatchingPowerError, match=r"^generators 2 and 3 are not zeta-power commuting"):
+            commutation_matrix(GeneratorFamily(3, 2, "canonical", tuple(mats)))
+
+    @pytest.mark.parametrize("build", [generalized_generators, canonical_generators])
+    @pytest.mark.parametrize("l", range(2, 8))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_power_search(self, build, l, n):
+        fam = build(l, n)
+        assert np.array_equal(commutation_matrix(fam), reference_commutation_matrix(fam))
+
+    @pytest.mark.parametrize("make", [_uneven_phases, _exponent_two])
+    def test_malformed_family_raises_as_the_power_search(self, make):
+        fam = make()
+        with pytest.raises(ValueError) as read:
             commutation_matrix(fam)
+        with pytest.raises(ValueError) as searched:
+            reference_commutation_matrix(fam)
+        assert read.type is searched.type
+
+    def test_one_comparison_per_pair(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return max_abs(a)
+
+        monkeypatch.setattr(clifford_module, "max_abs", counted)
+        for fam in (generalized_generators(5, 2), canonical_generators(3, 3), clifford_generators(2)):
+            calls.clear()
+            commutation_matrix(fam)
+            size = len(fam.matrices)
+            assert len(calls) == size * (size - 1) // 2
 
 
 class TestBiproducts:
@@ -396,6 +471,29 @@ class TestFamilyValidation:
         good, _, misshapen = parts
         with pytest.raises(ValueError, match=r"^generator 0 has shape \(2, 2\), expected \(4, 4\)$"):
             GeneratorFamily(2, 2, "clifford", (2 * misshapen, good[1], good[2], good[3]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_finite_entries_rejected(self, bad, index):
+        # a NaN order residual is not > the tolerance, and an inf entry makes
+        # NaN in the power with a warning, so finiteness has its own check
+        mats = [shift_matrix(3), clock_matrix(3)]
+        mats[index][0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^generator {index} has non-finite entries$"):
+                GeneratorFamily(3, 1, "canonical", tuple(mats))
+
+    def test_entries_are_checked_after_shape_and_before_order(self, parts):
+        good, unordered, misshapen = parts
+        nan = good[2].copy()
+        nan[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^generator 1 does not have order 2$"):
+            GeneratorFamily(2, 2, "clifford", (good[0], unordered, nan, good[3]))
+        with pytest.raises(ValueError, match=r"^generator 2 has non-finite entries$"):
+            GeneratorFamily(2, 2, "clifford", (good[0], good[1], nan, misshapen))
+        with pytest.raises(ValueError, match=r"^generator 1 has shape \(2, 2\), expected \(4, 4\)$"):
+            GeneratorFamily(2, 2, "clifford", (good[0], misshapen, nan, good[3]))
 
     def test_clifford_kind_requires_l2(self):
         taus = generalized_generators(3, 1).matrices
