@@ -131,7 +131,10 @@ class ClosureResult:
     (d, d) matrices: a tuple from the dense engine; from the monomial
     engine, a read-only :class:`~collections.abc.Sequence` (``len``,
     indexing, slicing, iteration) that builds each matrix on request, so
-    the result costs O(d^2) memory at any dimension.  A monomial basis is
+    the result costs O(d^2) memory at any dimension.  A dense basis is a
+    tuple of views of one (capacity, d, d) array, the rows the engine grew,
+    so that array and its growth slack live as long as the result: at most
+    max(32, 2 * ``achieved_dim``) rows and at most d^2.  A monomial basis is
     orthonormal to rounding.  A dense basis is orthonormal to the accuracy
     of its Gram-Schmidt steps: ``max |F^H F - I|`` over the flattened
     basis F is at most 2.1e-14 on the named sets with d <= 16, but an
@@ -687,9 +690,10 @@ class _BasisBuilder:
     In real mode (``real``) the sweeps run on d^2 real coordinates per
     element (see :meth:`_encode`), held in a second, (capacity, d^2) float64
     array.  The first sweep encodes the seeds; the elements admitted since
-    are decoded into the complex rows in one scatter when the next sweep
-    needs them, and all of them for the result, so every row multiplied or
-    returned is exactly anti-Hermitian.
+    are decoded into the complex rows, ``_SCREEN_ROWS`` at a time, when the
+    next sweep or the result needs them, so every row multiplied or
+    returned is exactly anti-Hermitian.  Rows that must grow are decoded
+    afresh, never copied, so old and new rows are never alive together.
     """
 
     def __init__(self, d: int, tol: float, real: bool):
@@ -705,9 +709,11 @@ class _BasisBuilder:
         return self.rows[: self.size]
 
     def basis(self) -> Tuple[np.ndarray, ...]:
-        """The basis matrices, each a new array."""
+        """The basis matrices as views of the rows, not copies.  The run drops
+        the builder, and the views keep the rows' growth slack alive: at most
+        max(``_SCREEN_ROWS``, 2 * size) rows, and at most d^2."""
         self._sync()
-        return tuple(self.elements().copy())
+        return tuple(self.elements())
 
     def _flat(self) -> np.ndarray:
         """The rows the screen projects on: the coordinates in real mode, else the matrices."""
@@ -739,10 +745,16 @@ class _BasisBuilder:
             self.coords = np.empty((len(self.rows), d * d))
             # A - A^H is 2A for an anti-Hermitian A, and twice the anti-Hermitian part of any A
             self._encode(0.5 * self.elements(), self.coords[:size])
-        if self.decoded < size:
-            self.rows = _grown(self.rows, self.decoded, size)
-            self._decode(self.coords[self.decoded:size], self.rows[self.decoded:size])
-            self.decoded = size
+        if size > len(self.rows):
+            # every row is a decode of its coordinates: drop them, then regrow
+            rows = _capacity(self.rows, size)
+            self.rows = None
+            self.rows = np.empty((rows, d, d), dtype=complex)
+            self.decoded = 0
+        for start in range(self.decoded, size, _SCREEN_ROWS):
+            stop = min(size, start + _SCREEN_ROWS)
+            self._decode(self.coords[start:stop], self.rows[start:stop])
+        self.decoded = size
 
     def _encode(self, p: np.ndarray, out: np.ndarray) -> None:
         """Write the coordinates of ``p[i] - p[i]^H`` to ``out[i]``, for a (m, d, d) stack ``p``.
@@ -866,15 +878,19 @@ def _project(resid: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def _grown(array: np.ndarray, filled: int, needed: int) -> np.ndarray:
-    """``array`` if it has ``needed`` rows, else a copy of its first ``filled`` rows
-    with room for twice as many rows, or ``needed`` if more, but no more rows
-    than a row has entries: that many orthonormal rows span every row."""
+    """``array`` if it has ``needed`` rows, else a copy of its first ``filled``
+    rows with room for :func:`_capacity` rows."""
     if needed <= len(array):
         return array
-    rows = min(array[0].size, max(needed, 2 * len(array)))
-    grown = np.empty((rows,) + array.shape[1:], dtype=array.dtype)
+    grown = np.empty((_capacity(array, needed),) + array.shape[1:], dtype=array.dtype)
     grown[:filled] = array[:filled]
     return grown
+
+
+def _capacity(array: np.ndarray, needed: int) -> int:
+    """Rows to grow a full ``array`` to: twice as many, or ``needed`` if more, but no
+    more than a row has entries: that many orthonormal rows span every row."""
+    return min(array[0].size, max(needed, 2 * len(array)))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ basis indices model classical register values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Optional, Tuple
 
@@ -69,11 +69,18 @@ def _check_order(l: int) -> int:
     return int(l)
 
 
-@cache
+# Root-of-unity tables cached at once: more orders than a verify grid or the tests read.
+_NU_TABLES = 128
+
+
+@lru_cache(maxsize=_NU_TABLES)
 def _nu_powers(l: int) -> np.ndarray:
     """Read-only ``nu^k`` for k < 2l, ``nu = exp(i*pi/l)``, so ``zeta^k`` is entry 2k.
 
     One array ``exp`` gives every entry; quarter turns are written as exact 1, i, -1, -i.
+    The cache keeps the ``_NU_TABLES`` orders read last.  That bounds the tables'
+    count, not their size: one read at l = 10^6, a scalar ``RootOfUnity.zeta_power``
+    included, still builds and keeps that order's whole table (32 MB).
     """
     k = np.arange(2 * l)
     table = np.exp(1j * np.pi * k / l)

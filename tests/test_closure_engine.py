@@ -9,6 +9,7 @@ dense engine directly through ``_dense_closure``."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from quditkit import (
     universal_augmentation,
 )
 from quditkit.serialize import save_matrix
-from quditkit.universality import _dense_closure, _kept_seeds, _run_rounds, _seed
+from quditkit.universality import _SCREEN_ROWS, _dense_closure, _dense_sweep, _kept_seeds, _run_rounds, _seed
 
 # (label, matrices, achieved dim): the acceptance suite's seven sets.
 ACCEPTANCE_SETS = [
@@ -295,6 +296,109 @@ class TestScreen:
         assert len(calls) <= len(gen.matrices) + 2 * result.achieved_dim
         # every element past the seeds came through admit, in real mode too
         assert len(calls) >= result.achieved_dim
+
+
+# (matrices, achieved dim) of real-mode pairs whose basis memory is pinned
+MEMORY_CASES = {
+    "random-pair-16": (lambda: _random_pair(41, 16), 255),
+    "block-pair-6-6": (lambda: _block_pair(43, 6, 6), 71),
+}
+
+
+def _block_bytes(gen):
+    """Bytes of ``_SCREEN_ROWS`` commutators as complex d x d matrices."""
+    return _SCREEN_ROWS * gen.dim**2 * 16
+
+
+def _builder_calls(monkeypatch, name):
+    """Wrap ``_BasisBuilder.<name>``; each call appends ``(builder, rows before,
+    traced bytes before, traced peak during)`` to the returned list.  The
+    wrapper resets tracemalloc's peak at each call."""
+    from quditkit import universality
+
+    calls = []
+    method = getattr(universality._BasisBuilder, name)
+
+    def traced(self, *args):
+        rows = len(self.rows)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = method(self, *args)
+        calls.append((self, rows, before, tracemalloc.get_traced_memory()[1]))
+        return out
+
+    monkeypatch.setattr(universality._BasisBuilder, name, traced)
+    return calls
+
+
+@pytest.fixture
+def traced_memory():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+class TestBasisMemory:
+    """The dense engine holds one copy of its basis: the result is the rows
+    it grew, and real mode regrows its complex rows from the coordinates.
+
+    Decoding one block of ``_SCREEN_ROWS`` coordinates allocates up to 1.1
+    blocks of complex matrices: the scaled coordinates and numpy's buffers
+    for the strided writes.  Each bound allows two blocks for it."""
+
+    @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+    def test_peak_is_the_final_capacity_plus_screen_blocks(self, case, traced_memory):
+        make, dim = MEMORY_CASES[case]
+        gen = prepare_generators(make(), REAL_ANTIHERMITIAN)
+        seeds = _kept_seeds(gen, 1e-9)[0]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        # _dense_closure, holding on to the builder
+        builder = _seed(seeds, gen, 1e-9)
+        result = _dense_sweep(builder)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        d2 = gen.dim**2
+        capacity = len(builder.rows) * d2 * 16 + len(builder.coords) * d2 * 8
+        assert result.achieved_dim == dim
+        # 2.6 blocks on both cases; the end-of-run copy of the 255 elements
+        # of the random pair alone would add eight
+        assert peak <= capacity + 3 * _block_bytes(gen)
+
+    @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+    def test_result_is_the_rows_the_builder_grew(self, case, monkeypatch, traced_memory):
+        make, dim = MEMORY_CASES[case]
+        gen = prepare_generators(make(), REAL_ANTIHERMITIAN)
+        calls = _builder_calls(monkeypatch, "basis")
+        result = _dense_closure(gen)
+        [(builder, _, before, peak)] = calls
+        assert result.achieved_dim == dim
+        # the last elements' decode, where a copy would take a block per _SCREEN_ROWS elements
+        assert peak - before <= 2 * _block_bytes(gen)
+        assert all(b.base is builder.rows for b in result.basis)
+
+    @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+    def test_rows_regrow_without_a_copy(self, case, monkeypatch, traced_memory):
+        make, _ = MEMORY_CASES[case]
+        gen = prepare_generators(make(), REAL_ANTIHERMITIAN)
+        calls = _builder_calls(monkeypatch, "_sync")
+        _dense_closure(gen)
+        d2 = gen.dim**2
+        assert any(len(builder.rows) > rows for builder, rows, _, _ in calls)
+        for builder, rows, before, peak in calls:
+            # the old rows are gone before the new ones are allocated
+            assert peak - before <= (len(builder.rows) - rows) * d2 * 16 + 2 * _block_bytes(gen)
+
+    @pytest.mark.parametrize("mode", [REAL_ANTIHERMITIAN, COMPLEX_TRACELESS])
+    def test_elements_are_independent(self, mode):
+        basis = _dense_closure(prepare_generators(_random_pair(17, 4), mode)).basis
+        assert len(basis) == 15
+        for i, a in enumerate(basis):
+            for b in basis[i + 1:]:
+                assert not np.shares_memory(a, b)
+        before = [b.copy() for b in basis]
+        basis[3][...] = 7.0
+        assert np.all(basis[3] == 7.0)
+        assert all(np.array_equal(b, old) for k, (b, old) in enumerate(zip(basis, before)) if k != 3)
 
 
 class TestExtendAgainstReference:

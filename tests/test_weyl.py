@@ -4,6 +4,7 @@ operator power-sum identities."""
 import numpy as np
 import pytest
 
+from quditkit import weyl
 from quditkit import (
     RootOfUnity,
     clock_matrix,
@@ -38,6 +39,17 @@ def test_root_of_unity_invariants():
 def test_root_of_unity_rejects_small_order():
     with pytest.raises(ValueError):
         RootOfUnity(1)
+
+
+def test_root_tables_stay_bounded_and_keep_their_values():
+    orders = range(2, 2 + weyl._NU_TABLES + 40)
+    first = {l: weyl._nu_powers(l).copy() for l in orders}
+    assert weyl._nu_powers.cache_info().currsize == weyl._NU_TABLES
+    # each order read again was evicted, so its table is built afresh
+    for l in orders:
+        assert np.array_equal(weyl._nu_powers(l), first[l])
+        assert RootOfUnity(l).zeta_power(3) == first[l][6 % (2 * l)]
+    assert weyl._nu_powers.cache_info().currsize == weyl._NU_TABLES
 
 
 class TestPairConstruction:
