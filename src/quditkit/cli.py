@@ -314,8 +314,7 @@ def cmd_closure(args) -> int:
                 f"of dimension {n * (2 * n + 1)}; this is all of su(2^n) only at n=1",
                 file=sys.stderr,
             )
-        entries = _resolve_set(args.set_name, args.dim, args.sites, normalized=False)
-        matrices = [m for _, m in entries]
+        matrices = [m for _, m in _resolve_set(args.set_name, args.dim, args.sites, normalized=False)]
         set_label = args.set_name
     else:
         matrices = _load_matrix_set(args.input)
@@ -328,6 +327,7 @@ def cmd_closure(args) -> int:
         set_label = args.input
     tol = _resolve_tolerance(args)
     gen = prepare_generators(matrices, args.mode, name=set_label)
+    del matrices  # the closure runs beside the prepared set alone, not its inputs too
     result = closure(gen, tol=tol)
     pairs = [
         ("report", "closure"),

@@ -51,6 +51,8 @@ _ANTIHERMITIAN_TOL = 1e-11
 _SCREEN_ROWS = 32
 # Seeds decomposed over the Weyl monomials per block, for the same reason.
 _SUPPORT_ROWS = 8
+# Entries prepared per block (at least one matrix), for the same reason.
+_PREPARE_ENTRIES = 1 << 12
 # The support search skips a diagonal whose entries are all at most its
 # threshold times this; the margin is far above the FFT's rounding, so the
 # skip is exact in floating point too.
@@ -156,64 +158,65 @@ def prepare_generators(
 ) -> GeneratorSet:
     """Project inputs to traceless form and, in real mode, split them anti-Hermitian.
 
-    The inputs are processed as one (k, d, d) stack with the elementwise
-    arithmetic of :func:`traceless_project` and :func:`hermitian_split`, so
-    the output equals theirs bit for bit; real mode puts each input's pair
-    in place of the input.  Beyond the inputs, the call holds one copy of
-    the stack and, in real mode, the (2k, d, d) split that it returns: at
-    most three stacks' worth in all.  The outputs are square and finite, and
+    Each block of ``_PREPARE_ENTRIES`` entries (at least one matrix) is
+    processed with the elementwise arithmetic of :func:`traceless_project`
+    and :func:`hermitian_split`, so the output equals theirs bit for bit;
+    real mode puts each input's pair in place of the input.  Beyond the
+    inputs, the call holds the k or, in real mode, 2k matrices it returns
+    and one block of temporaries.  The outputs are square and finite, and
     real-mode ones exactly anti-Hermitian, so in either mode the set skips
-    the checks a hand-built :class:`GeneratorSet` gets.  In either mode an
-    overflow to a non-finite entry raises ``ValueError``.
+    the checks a hand-built :class:`GeneratorSet` gets.  A non-finite input,
+    or an overflow to a non-finite entry, raises ``ValueError``.
     """
-    stack = _stack_inputs(matrices)
-    k, d = stack.shape[:2]
-    # An overflow leaves non-finite entries, which _check_finite alone reports.
+    arrays = _square_inputs(matrices)
+    k, d = len(arrays), arrays[0].shape[0]
+    real = mode == REAL_ANTIHERMITIAN
+    out = np.empty((k, 1 + real, d, d), dtype=complex)
+    step = max(1, _PREPARE_ENTRIES // (d * d))
+    scratch = np.empty((min(k, step), d, d), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    # A non-finite entry stays non-finite; _check_finite alone reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = np.trace(stack, axis1=1, axis2=2) / d
-        stack -= traces[:, None, None] * np.eye(d, dtype=complex)
-    if mode == REAL_ANTIHERMITIAN:
-        # written in place: temporaries of the whole stack cost more than the arithmetic
-        split = np.empty((k, 2, d, d), dtype=complex)
-        adjoint = split[:, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.conjugate(stack.transpose(0, 2, 1), out=adjoint)
-            np.add(stack, adjoint, out=split[:, 0])
-            split[:, 0] *= 1j
-            np.subtract(stack, adjoint, out=adjoint)
-        # i(M + M*) and M - M* are exactly anti-Hermitian; only an overflow can fail the checks
-        stack = split.reshape(2 * k, d, d)
-    _check_finite(stack)
+        for start in range(0, k, step):
+            block = out[start:start + step]
+            # the trace term goes where nothing reads it later
+            if real:
+                m, spare = scratch[:len(block)], block[:, 1]
+            else:
+                m, spare = block[:, 0], scratch[:len(block)]
+            np.stack(arrays[start:start + step], out=m)
+            traces = np.trace(m, axis1=1, axis2=2) / d
+            m -= np.multiply(traces[:, None, None], eye, out=spare)
+            if real:
+                np.conjugate(m.transpose(0, 2, 1), out=block[:, 1])
+                np.add(m, block[:, 1], out=block[:, 0])
+                block[:, 0] *= 1j
+                np.subtract(m, block[:, 1], out=block[:, 1])
+    # i(M + M*) and M - M* are exactly anti-Hermitian; only a non-finite entry can fail the checks
+    _check_finite(out)
     _check_mode(mode)
-    return GeneratorSet._prepared(name, d, tuple(stack), mode)
+    return GeneratorSet._prepared(name, d, tuple(out.reshape(-1, d, d)), mode)
 
 
 def _check_finite(stack: np.ndarray) -> None:
-    """Raise :func:`as_matrix`'s error if the arithmetic on finite inputs overflowed."""
+    """Raise :func:`as_matrix`'s error for a non-finite input or overflow."""
     parts = stack.view(np.float64)
     if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
         raise ValueError("matrix contains non-finite entries")
 
 
-def _stack_inputs(matrices: Iterable[np.ndarray]) -> np.ndarray:
-    """The inputs as one new complex (k, d, d) stack, under the checks of :func:`as_matrix`.
-
-    Well-formed inputs are checked at once.  Otherwise the checks run matrix
-    by matrix, so the error is the one the first malformed matrix raises.
-    """
+def _square_inputs(matrices: Iterable[np.ndarray]) -> List[np.ndarray]:
+    """The inputs as complex arrays of one square shape, or the error the per-matrix
+    checks raise first; entries are left to :func:`_check_finite`."""
     arrays = [np.asarray(m, dtype=complex) for m in matrices]
-    if arrays and all(a.shape == arrays[0].shape for a in arrays):
-        stack = np.stack(arrays)
-        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] >= 1 and np.isfinite(stack).all():
-            return stack
-    mats = [as_matrix(m) for m in arrays]
-    if not mats:
+    if not arrays:
         raise ValueError("generator set is empty")
-    dim = mats[0].shape[0]
-    for idx, m in enumerate(mats):
-        if m.shape[0] != dim:
-            raise ValueError(f"matrix {idx} has dimension {m.shape[0]}, expected {dim}")
-    return np.stack(mats)
+    shape = arrays[0].shape
+    if len(shape) == 2 and shape[0] == shape[1] >= 1 and all(a.shape == shape for a in arrays):
+        return arrays
+    dims = [as_matrix(m).shape[0] for m in arrays]
+    idx = next(i for i, dim in enumerate(dims) if dim != dims[0])
+    raise ValueError(f"matrix {idx} has dimension {dims[idx]}, expected {dims[0]}")
 
 
 def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:

@@ -3,7 +3,7 @@ the lazy basis against the eager builder, the support search that skips
 empty diagonals against the one that transforms every diagonal, the engine
 chosen from the raw seeds' Weyl coefficients against the one chosen after
 Gram-Schmidt, the sweep over stored digit rows against the one gathering
-digits from the code table, and the stacked preprocessing against the
+digits from the code table, and the blocked preprocessing against the
 per-matrix one; plus the CLI paths that rely on the lazy basis."""
 
 import importlib.util
@@ -45,6 +45,7 @@ from quditkit import (
 from quditkit import cli
 from quditkit.serialize import load_matrix
 from quditkit.universality import (
+    _PREPARE_ENTRIES,
     _dense_closure,
     _factorizations,
     _first_reached,
@@ -489,9 +490,22 @@ def _validation_cases():
 VALIDATION_CASES = _validation_cases()
 
 
+# The named grid's sets take one or two blocks of _PREPARE_ENTRIES; these take
+# 12 blocks of four 32 x 32 matrices, the last one partial, and 66 of one 64 x 64.
+MULTI_BLOCK_SETS = [("biproducts", 2, 5), ("biproducts", 2, 6)]
+# (d, k) of random sets in several blocks that end in a partial one
+MULTI_BLOCK_RANDOM = [(12, 89), (20, 37), (45, 9)]
+
+
+def _blocks(k, d):
+    step = max(1, _PREPARE_ENTRIES // (d * d))
+    return -(-k // step), k % step
+
+
 class TestStackedPreprocessing:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name,l,n", NAMED_GRID, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID])
+    @pytest.mark.parametrize("name,l,n", NAMED_GRID + MULTI_BLOCK_SETS,
+                             ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID + MULTI_BLOCK_SETS])
     def test_named_sets_bitwise(self, name, l, n, mode):
         mats = named_generator_set(name, l, n)
         got = prepare_generators(mats, mode).matrices
@@ -508,6 +522,20 @@ class TestStackedPreprocessing:
                 + 1j * rng.standard_normal((d, d)) for _ in range(k)]
         mats.append(np.zeros((d, d)))
         mats.append(mats[0].real.tolist())
+        got = prepare_generators(mats, mode).matrices
+        ref = reference_prepare(mats, mode)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref, strict=True))
+        GeneratorSet("", d, got, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d,k", MULTI_BLOCK_RANDOM, ids=[f"d{d}-k{k}" for d, k in MULTI_BLOCK_RANDOM])
+    def test_multi_block_random_inputs_bitwise(self, d, k, mode):
+        blocks, last = _blocks(k, d)
+        assert blocks > 2 and last > 0
+        rng = np.random.default_rng(100 * d + k)
+        mats = [rng.standard_normal((d, d)) * 10.0 ** rng.integers(-8, 8)
+                + 1j * rng.standard_normal((d, d)) for _ in range(k - 2)]
+        mats[1:1] = [np.zeros((d, d)), mats[0].real.tolist()]
         got = prepare_generators(mats, mode).matrices
         ref = reference_prepare(mats, mode)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref, strict=True))
@@ -579,18 +607,22 @@ class TestStackedPreprocessing:
         with pytest.raises(ValueError, match=r"^matrix 2 has a norm that overflows$"):
             closure(gen)
 
-    def test_peak_memory_is_one_stack_copy_plus_the_split(self):
-        # The inputs, the stack and the (2k, d, d) split are k, k and 2k
-        # matrices; a transposed copy of the stack would add another k.
+    @pytest.mark.parametrize("mode", MODES)
+    def test_peak_memory_is_the_prepared_set_plus_block_temporaries(self, mode):
+        # Beyond the inputs: the k or 2k prepared matrices, one scratch
+        # block (one matrix at d = 64), the identity and numpy's buffers for
+        # the transposed read, 3.1 matrices in all.  A stacked copy of the
+        # inputs would add k = 66 more.
         mats = named_generator_set("biproducts", 2, 6)
         k, d = len(mats), mats[0].shape[0]
+        assert _blocks(k, d) == (k, 0)
         tracemalloc.start()
         try:
-            prepare_generators(mats, REAL_ANTIHERMITIAN)
+            gen = prepare_generators(mats, mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * k * d * d * 16
+        assert peak <= (len(gen.matrices) + 4) * d * d * 16
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("mats", VALIDATION_CASES, ids=range(len(VALIDATION_CASES)))
@@ -628,16 +660,33 @@ print(f"exit {os.waitstatus_to_exitcode(status)} peak-rss-kb {usage.ru_maxrss}")
 """
 
 
-def test_qudit_universal_at_81_stays_small():
-    # The eager basis of 6560 81 x 81 matrices took 731 MB peak RSS.
+def _launch_closure(*args):
+    """The report lines and peak RSS in bytes of one ``closure`` process."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, "closure", "--set", "qudit-universal",
-         "--dim", "3", "--sites", "4", "--max-dim", "81"],
+        [sys.executable, "-c", _LAUNCHER, "closure", *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     *report, last = proc.stdout.splitlines()
     _, code, _, peak_kb = last.split()
     assert int(code) == 0, proc.stderr
-    assert "target-dim: 6560\nachieved-dim: 6560\n" in "\n".join(report) + "\n"
-    assert int(peak_kb) < 100 * 1024
+    return "\n".join(report) + "\n", int(peak_kb) * 1024
+
+
+def test_qudit_universal_at_81_stays_small():
+    # The eager basis of 6560 81 x 81 matrices took 731 MB peak RSS.
+    report, peak = _launch_closure("--set", "qudit-universal", "--dim", "3", "--sites", "4", "--max-dim", "81")
+    assert "target-dim: 6560\nachieved-dim: 6560\n" in report
+    assert peak < 100 * 1024 * 1024
+
+
+def test_biproducts_at_128_peak_at_the_inputs_plus_the_split():
+    # Over the baseline of a closure whose inputs are negligible: 91 inputs
+    # of 128 x 128 (22.75 MiB) and their 182 split matrices.  A stacked copy
+    # of the inputs would add another 22.75 MiB, three times the allowance
+    # for block temporaries and allocator slack.
+    _, baseline = _launch_closure("--set", "biproducts", "--dim", "2", "--sites", "2")
+    report, peak = _launch_closure("--set", "biproducts", "--dim", "2", "--sites", "7", "--max-dim", "128")
+    assert "target-dim: 16383\nachieved-dim: 91\n" in report
+    inputs = 91 * 128 * 128 * 16
+    assert peak <= baseline + 3 * inputs + 8 * 1024 * 1024
