@@ -314,7 +314,11 @@ def cmd_closure(args) -> int:
                 f"of dimension {n * (2 * n + 1)}; this is all of su(2^n) only at n=1",
                 file=sys.stderr,
             )
-        matrices = [m for _, m in _resolve_set(args.set_name, args.dim, args.sites, normalized=False)]
+        if args.set_name in GENERATOR_SET_NAMES:
+            # a named set reaches closure as its Weyl terms (see prepare_generators)
+            matrices = named_generator_set(args.set_name, args.dim, args.sites)
+        else:
+            matrices = [m for _, m in _resolve_set(args.set_name, args.dim, args.sites, normalized=False)]
         set_label = args.set_name
     else:
         matrices = _load_matrix_set(args.input)

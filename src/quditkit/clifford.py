@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .linalg import dagger, max_abs
-from .weyl import RootOfUnity, _check_order, _monomials, tau_matrices
+from .weyl import RootOfUnity, _WeylTerms, _check_order, _monomials, _weyl_adjoint, _weyl_product, tau_matrices
 
 __all__ = [
     "pauli",
@@ -245,26 +245,90 @@ GENERATOR_SET_NAMES = (
 )
 
 
-def named_generator_set(name: str, l: int, n: int) -> List[np.ndarray]:
-    """Resolve a registry name to a list of matrices (the CLI entry point)."""
-    if name == "clifford":
-        _require_qubit(name, l)
-        return list(clifford_generators(n).matrices)
-    if name == "generalized":
-        return list(generalized_generators(l, n).matrices)
+def named_generator_set(name: str, l: int, n: int) -> _WeylTerms:
+    """Resolve a registry name to its matrices (the CLI entry point).
+
+    Every element of a named set is a phase times a Weyl monomial,
+    ``nu^e W(x)``.  The result is a read-only sequence that carries each
+    element's ``exponents`` (e mod 2l) and ``codes`` (x, see
+    :mod:`quditkit.weyl`), found by integer arithmetic: the one-site factors
+    are tau1 = W(1, 0), tau2 = nu^(l-1) W(1, 1), tau3 = W(0, 1), the shift and
+    the clock; products follow ``W(a, b) W(c, d) = zeta^(-b.c) W(a + c, b + d)``;
+    an adjoint is ``nu^(-e - 2 a.b) W(-x)``.  The matrices are built on the
+    first access to any of them, by the constructors named below, so their
+    bytes are those of a list of those constructors' matrices; they are
+    read-only.  :func:`~quditkit.universality.prepare_generators` reads the
+    terms and builds no matrix when l is the smallest base of l^n (see there).
+    """
+    l, n = _check_set(name, l, n)
+    build = {
+        "clifford": lambda: clifford_generators(n).matrices,
+        "generalized": lambda: generalized_generators(l, n).matrices,
+        "canonical": lambda: canonical_generators(l, n).matrices,
+        "biproducts": lambda: biproducts(clifford_generators(n)),
+        "clifford-universal": lambda: universal_augmentation(clifford_generators(n)),
+        "qudit-universal": lambda: qudit_universal_set(l, n),
+    }[name]
+    return _WeylTerms(l, n, *_named_terms(name, l, n), build)
+
+
+def _named_terms(name: str, l: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms ``(e, codes)`` of a named set, in the order its constructor lists its matrices."""
     if name == "canonical":
-        return list(canonical_generators(l, n).matrices)
+        return _family_terms("canonical", l, n)
+    fam = _family_terms("generalized", l, n)  # at l=2, the clifford family
+    if name in ("clifford", "generalized"):
+        return fam
     if name == "biproducts":
-        _require_qubit(name, l)
-        return biproducts(clifford_generators(n))
+        j, k = np.triu_indices(2 * n, 1)
+        return _weyl_product(l, n, _at(fam, j), _at(fam, k))
     if name == "clifford-universal":
+        # neighbors anticommute, so [e_j, e_j+1] / 2 is e_j e_j+1
+        pairs = _weyl_product(l, n, _at(fam, slice(0, -1)), _at(fam, slice(1, None)))
+        return _joined(pairs, _at(fam, [0]), _weyl_product(l, n, _at(pairs, [0]), _at(fam, [2])))
+    # qudit-universal: f_0, then f_k f_k+1^H
+    return _joined(_at(fam, [0]), _weyl_product(l, n, _at(fam, slice(0, -1)), _weyl_adjoint(l, n, _at(fam, slice(1, None)))))
+
+
+def _at(terms: Tuple[np.ndarray, np.ndarray], index) -> Tuple[np.ndarray, np.ndarray]:
+    return terms[0][index], terms[1][index]
+
+
+def _joined(*parts: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _check_set(name: str, l: int, n: int) -> Tuple[int, int]:
+    """The errors the set's constructors raise, in their order, before any matrix is built."""
+    if name not in GENERATOR_SET_NAMES:
+        raise ValueError(
+            f"unknown generator set {name!r}; known sets: {', '.join(GENERATOR_SET_NAMES)}"
+        )
+    if name in _QUBIT_SETS:
         _require_qubit(name, l)
-        return universal_augmentation(clifford_generators(n))
-    if name == "qudit-universal":
-        return qudit_universal_set(l, n)
-    raise ValueError(
-        f"unknown generator set {name!r}; known sets: {', '.join(GENERATOR_SET_NAMES)}"
-    )
+    else:
+        _check_order(l)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"need l >= 2 and n >= 1, got l={l}, n={n}")
+    if name == "clifford-universal" and n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    return int(l), int(n)
+
+
+_QUBIT_SETS = ("clifford", "biproducts", "clifford-universal")
+
+
+def _family_terms(kind: str, l: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms ``(e, codes)`` of the family ``kind``, laid out as its builder lays out its factors."""
+    if kind == "canonical":
+        identity, shift, clock = (0, 0, 0), (0, 1, 0), (0, 0, 1)
+        sites = [[identity] * site + [m] + [identity] * (n - site - 1) for site in range(n) for m in (shift, clock)]
+    else:  # the identity, then tau1, tau2 and tau3 as (e, a, b); at l=2 the Pauli matrices
+        identity, body1, body2, tail = (0, 0, 0), (0, 1, 0), (l - 1, 1, 1), (0, 0, 1)
+        sites = [[identity] * (n - k - 1) + [body] + [tail] * k for k in range(n) for body in (body1, body2)]
+    factors = np.array(sites, dtype=np.intp)  # (2n, n, 3): one (e, a, b) per site, site 1 first
+    place = l ** np.arange(n - 1, -1, -1)
+    return factors[..., 0].sum(axis=1) % (2 * l), (factors[..., 1] @ place) * l**n + factors[..., 2] @ place
 
 
 def _require_qubit(name: str, l: int) -> None:

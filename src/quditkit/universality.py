@@ -25,7 +25,18 @@ import numpy as np
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
 from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
-from .weyl import _decompose, _diagonal_coefficients, _digits, _monomial_entries, _wrapped_diagonals
+from .weyl import (
+    _WeylTerms,
+    _code_digits,
+    _decompose,
+    _diagonal_coefficients,
+    _digit_codes,
+    _digits,
+    _monomial_entries,
+    _nu_powers,
+    _weyl_adjoint,
+    _wrapped_diagonals,
+)
 
 __all__ = [
     "REAL_ANTIHERMITIAN",
@@ -57,6 +68,10 @@ _PREPARE_ENTRIES = 1 << 12
 # threshold times this; the margin is far above the FFT's rounding, so the
 # skip is exact in floating point too.
 _SKIP_MARGIN = 1 - 1e-12
+# The term path decides only when every quantity it compares with tol differs
+# from tol by more than this: far above the rounding of the matrix path's
+# projection and transforms, which compare the same quantities of the matrices.
+_TERM_MARGIN = 1e-12
 
 
 def traceless_project(m) -> np.ndarray:
@@ -85,20 +100,26 @@ class GeneratorSet:
     A hand-built set is checked one matrix at a time, in order: shape (dim, dim),
     finite entries, and in real mode ``max |m + m*| <= 1e-11``; the first failure
     raises :class:`ValueError`.  Prepared sets skip the checks in both modes.
+    ``matrices`` is a tuple, except in a set prepared from Weyl terms, where
+    it is a read-only sequence that prepares them on first access (see
+    :func:`prepare_generators`).
     """
 
     name: str
     dim: int
-    matrices: Tuple[np.ndarray, ...]
+    matrices: Sequence[np.ndarray]
     mode: str
     _per_input = 1  # consecutive matrices per input; errors name the input
+    _terms = None  # prepared from Weyl terms: the terms, which closure reads (see prepare_generators)
 
     @classmethod
-    def _prepared(cls, name: str, dim: int, matrices: Tuple[np.ndarray, ...], mode: str) -> "GeneratorSet":
+    def _prepared(
+        cls, name: str, dim: int, matrices: Sequence[np.ndarray], mode: str, terms: Optional[_WeylTerms] = None
+    ) -> "GeneratorSet":
         """A set :func:`prepare_generators` made valid by construction; no checks run, in either mode."""
         prepared = object.__new__(cls)
         per_input = 1 + (mode == REAL_ANTIHERMITIAN)  # real mode splits each input in two
-        vars(prepared).update(name=name, dim=dim, matrices=matrices, mode=mode, _per_input=per_input)
+        vars(prepared).update(name=name, dim=dim, matrices=matrices, mode=mode, _per_input=per_input, _terms=terms)
         return prepared
 
     def __post_init__(self):
@@ -158,16 +179,28 @@ def prepare_generators(
 ) -> GeneratorSet:
     """Project inputs to traceless form and, in real mode, split them anti-Hermitian.
 
-    Each block of ``_PREPARE_ENTRIES`` entries (at least one matrix) is
-    processed with the elementwise arithmetic of :func:`traceless_project`
-    and :func:`hermitian_split`, so the output equals theirs bit for bit;
-    real mode puts each input's pair in place of the input.  Beyond the
-    inputs, the call holds the k or, in real mode, 2k matrices it returns
-    and one block of temporaries.  The outputs are square and finite, and
-    real-mode ones exactly anti-Hermitian, so in either mode the set skips
-    the checks a hand-built :class:`GeneratorSet` gets.  A non-finite input,
-    or an overflow to a non-finite entry, raises ``ValueError``.
+    Each block of ``_PREPARE_ENTRIES`` entries (at least one matrix) is cast
+    to complex and processed with the elementwise arithmetic of
+    :func:`traceless_project` and :func:`hermitian_split`, so the output
+    equals theirs bit for bit; real mode puts each input's pair in place of
+    the input.  Beyond the inputs, the call holds the k or, in real mode, 2k
+    matrices it returns and one block of temporaries.  The outputs are
+    square and finite, and real-mode ones exactly anti-Hermitian, so in
+    either mode the set skips the checks a hand-built :class:`GeneratorSet`
+    gets.  A non-finite input, or an overflow to a non-finite entry, raises
+    ``ValueError``.
+
+    A named set (:func:`~quditkit.clifford.named_generator_set`) whose l is
+    the smallest base of d = l^n gives a term-backed set: no matrix is built
+    here, :func:`closure` reads the inputs' Weyl terms, and ``matrices`` are
+    prepared as above on the first access to any of them.  A set whose l
+    is a perfect power (4, 8, 9, ...) is prepared from its matrices, since
+    the support search tries the smallest base first and may decide it
+    there: ``[V, V^3]`` of the l=4 clock V reaches the l=2 codes [2, 3].
     """
+    if isinstance(matrices, _WeylTerms) and _factorizations(d := matrices.l**matrices.n)[0][0] == matrices.l:
+        _check_mode(mode)
+        return GeneratorSet._prepared(name, d, _PreparedOnRequest(matrices, mode), mode, terms=matrices)
     arrays = _square_inputs(matrices)
     k, d = len(arrays), arrays[0].shape[0]
     real = mode == REAL_ANTIHERMITIAN
@@ -184,7 +217,7 @@ def prepare_generators(
                 m, spare = scratch[:len(block)], block[:, 1]
             else:
                 m, spare = block[:, 0], scratch[:len(block)]
-            np.stack(arrays[start:start + step], out=m)
+            np.stack(arrays[start:start + step], out=m, casting="unsafe")  # as np.asarray(a, dtype=complex) casts
             traces = np.trace(m, axis1=1, axis2=2) / d
             m -= np.multiply(traces[:, None, None], eye, out=spare)
             if real:
@@ -198,6 +231,25 @@ def prepare_generators(
     return GeneratorSet._prepared(name, d, tuple(out.reshape(-1, d, d)), mode)
 
 
+class _PreparedOnRequest(Sequence):
+    """The matrices :func:`prepare_generators` returns for the matrices of ``inputs``,
+    prepared on the first access to any of them."""
+
+    def __init__(self, inputs: _WeylTerms, mode: str):
+        self._inputs, self._mode = inputs, mode
+        self._size = len(inputs) * (1 + (mode == REAL_ANTIHERMITIAN))
+
+    @functools.cached_property
+    def _matrices(self) -> Tuple[np.ndarray, ...]:
+        return prepare_generators(list(self._inputs), self._mode).matrices
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._matrices[index]
+
+
 def _check_finite(stack: np.ndarray) -> None:
     """Raise :func:`as_matrix`'s error for a non-finite input or overflow."""
     parts = stack.view(np.float64)
@@ -206,9 +258,17 @@ def _check_finite(stack: np.ndarray) -> None:
 
 
 def _square_inputs(matrices: Iterable[np.ndarray]) -> List[np.ndarray]:
-    """The inputs as complex arrays of one square shape, or the error the per-matrix
-    checks raise first; entries are left to :func:`_check_finite`."""
-    arrays = [np.asarray(m, dtype=complex) for m in matrices]
+    """The inputs as arrays of one square shape, or the error the per-matrix checks
+    raise first; entries are left to :func:`_check_finite`.
+
+    A numeric array keeps its dtype until its block is cast; anything else is
+    converted to complex here, as :func:`as_matrix` converts it, so an input it
+    refuses raises its error.
+    """
+    arrays = [
+        np.asarray(m) if isinstance(m, np.ndarray) and m.dtype.kind in "biufc" else np.asarray(m, dtype=complex)
+        for m in matrices
+    ]
     if not arrays:
         raise ValueError("generator set is empty")
     shape = arrays[0].shape
@@ -246,6 +306,16 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     duplicates and dependent directions drop out) and the dense sweep below
     runs (the ``"dense"`` engine).  :attr:`ClosureResult.engine` reports
     which ran.
+
+    A set prepared from a named set's Weyl terms (see
+    :func:`prepare_generators`; l is then the smallest base of d, the first
+    factorization tried) is decided from the terms alone when it can be.
+    The kept seeds, the codes they first reach, their coefficients and their
+    parts off those codes are read from the inputs' phases and codes, with
+    the thresholds above, and the checks above run on them; no matrix is
+    formed.  When a check fails, or when a compared quantity lies within
+    1e-12 of ``tol``, where the rounding of the matrices could decide it the
+    other way, the matrices are prepared and decide as above.
 
     Orthonormalized seeds would give the same choice in exact arithmetic:
     seed i reaches new monomials only through its part outside the span of
@@ -326,10 +396,12 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     rounds (see :func:`_run_rounds`).
     """
     _check_closure(gen_set, tol)
-    seeds, norms = _kept_seeds(gen_set, tol)
-    found = _monomial_support(seeds, norms, gen_set.dim, gen_set.mode, tol)
+    found = None if gen_set._terms is None else _term_support(gen_set._terms, gen_set.mode, tol)
     if found is None:
-        return _dense_sweep(_seed(seeds, gen_set, tol))
+        seeds, norms = _kept_seeds(gen_set, tol)
+        found = _monomial_support(seeds, norms, gen_set.dim, gen_set.mode, tol)
+        if found is None:
+            return _dense_sweep(_seed(seeds, gen_set, tol))
     return _monomial_closure(*found, gen_set.mode, tol)
 
 
@@ -460,17 +532,102 @@ def _monomial_support(
         if found is None:
             continue
         codes, coefficients, outside = found
-        if 0 in codes:
-            continue
-        if mode == REAL_ANTIHERMITIAN and not np.isin(_negated(l, n)[codes], codes).all():
-            continue
-        if np.min(np.linalg.svd(coefficients, compute_uv=False), initial=np.inf) <= tol:
+        if _rank_margin(codes, coefficients, l, n, mode) <= tol:
             continue
         # A seed's part off its own monomials may lie along ones other seeds reach.
         if any(_off_support(seeds[i], norms[i], codes, l, n) > tol for i in np.flatnonzero(outside > tol)):
             continue
         return l, n, codes
     return None
+
+
+def _rank_margin(codes: np.ndarray, coefficients: np.ndarray, l: int, n: int, mode: str) -> float:
+    """The |S0|-th singular value of the seeds' ``coefficients`` on S0 = ``codes``, or 0
+    when S0 holds the identity or, in real mode, some x without -x (see :func:`closure`)."""
+    if 0 in codes:
+        return 0.0
+    # the codes are distinct, so they hold -x with every x when negation permutes them
+    if mode == REAL_ANTIHERMITIAN and not np.array_equal(np.sort(_negated_codes(l, n, codes)), np.sort(codes)):
+        return 0.0
+    return float(np.min(np.linalg.svd(coefficients, compute_uv=False), initial=np.inf))
+
+
+def _negated_codes(l: int, n: int, codes: np.ndarray) -> np.ndarray:
+    """The code of ``-x`` for each code x of ``codes``."""
+    return _digit_codes(l, -_code_digits(l, n, codes) % l)
+
+
+def _term_support(terms: _WeylTerms, mode: str, tol: float) -> Optional[Tuple[int, int, np.ndarray]]:
+    """:func:`_monomial_support` of the set ``prepare_generators`` makes of ``terms``,
+    read from the terms alone, at their own (l, n); None when it is not decided there.
+
+    The prepared inputs are ``nu^e W(x)`` in complex mode and, in real mode,
+    ``i(M + M*)`` and ``M - M*`` of ``M = nu^e W(x)``, with
+    ``M* = nu^(-e - 2 a.b) W(-x)``.  Their norms, their coefficients along
+    each ``W(x) / sqrt(d)`` and the part off the monomials they reach follow
+    from those terms, and the thresholds of :func:`_kept_seeds` and
+    :func:`_first_reached` select the kept seeds, the first-reach codes and
+    the coefficient rows.  :func:`_rank_margin` then checks the codes.
+
+    None, so that the matrices decide, when a check fails, when some unit
+    seed has a part off its reached monomials above ``tol`` (the matrix path
+    then measures it off every reached monomial), when an input is the
+    identity, or when a compared quantity lies within ``_TERM_MARGIN`` of
+    ``tol``, where the rounding of the matrix path could decide it the other
+    way.
+    """
+    l, n = terms.l, terms.n
+    if (terms.codes == 0).any():  # the projection these terms leave out would remove it
+        return None
+    codes, coefficients = _prepared_terms(terms, mode)
+    size = np.sqrt(np.einsum("ij,ij->i", np.abs(coefficients), np.abs(coefficients)))  # norm / sqrt(d)
+    ratio = size / size.max()
+    kept = ratio > tol
+    codes, unit = codes[kept], coefficients[kept] / size[kept, None]
+    magnitude = np.abs(unit)
+    reached = magnitude > tol
+    off = np.where(reached, 0.0, magnitude)
+    outside = np.sqrt(np.einsum("ij,ij->i", off, off))
+    if not kept.any() or (outside > tol).any():
+        return None
+    # seed by seed, each seed's codes in increasing order
+    order = np.argsort(codes, axis=1, kind="stable")
+    codes, unit, reached = (np.take_along_axis(a, order, axis=1) for a in (codes, unit, reached))
+    met = codes[reached]
+    _, first = np.unique(met, return_index=True)
+    support = met[np.sort(first)]
+    if len(support) > len(codes):
+        return None
+    sorter = np.argsort(support)
+    column = sorter[np.searchsorted(support, met, sorter=sorter)]
+    rows = np.zeros((len(codes), len(support)), dtype=complex)
+    rows[np.nonzero(reached)[0], column] = unit[reached]
+    sigma = _rank_margin(support, rows, l, n, mode)
+    compared = np.concatenate((ratio, magnitude.ravel(), outside, [sigma]))
+    if sigma <= tol or np.min(np.abs(compared - tol)) <= _TERM_MARGIN:
+        return None
+    return l, n, support
+
+
+def _prepared_terms(terms: _WeylTerms, mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, coefficients)``, two (k, w) arrays: prepared input i is the sum over j of
+    ``coefficients[i, j] W(codes[i, j])`` (see :func:`_term_support`).
+
+    In real mode w = 2, the codes of x and -x; when x = -x the pair's
+    coefficients are summed into the first, and the second is zero.
+    """
+    l, n, e, x = terms.l, terms.n, terms.exponents, terms.codes
+    nu = _nu_powers(l)
+    if mode == COMPLEX_TRACELESS:
+        return x[:, None], nu[e][:, None]
+    f, negated = _weyl_adjoint(l, n, (e, x))
+    same = negated == x
+    m, mh = nu[e], nu[f]
+    plus = (1j * (m + np.where(same, mh, 0)), np.where(same, 0, 1j * mh))  # i(M + M*)
+    minus = (m - np.where(same, mh, 0), np.where(same, 0, -mh))  # M - M*
+    coefficients = np.stack((np.stack(plus, axis=1), np.stack(minus, axis=1)), axis=1)
+    codes = np.repeat(np.stack((x, negated), axis=1), 2, axis=0)
+    return codes, coefficients.reshape(-1, 2)
 
 
 def _off_support(seed: np.ndarray, norm: float, codes: np.ndarray, l: int, n: int) -> float:

@@ -24,7 +24,9 @@ sites gathers the d wrapped diagonals and runs an n-dimensional FFT over
 each.  Its (d, d) table is indexed by the base-l numbers of
 (a_1..a_n) and (b_1..b_n), site 1 most significant; the integer
 ``code = A * d + B`` of entry (A, B) names the monomial in the closure
-engine.
+engine.  A phase times a monomial, ``nu^e W(x)``, is the term ``(e, code)``;
+terms multiply by ``W(a, b) W(c, d) = zeta^(-b.c) W(a + c, b + d)``, in
+integer arithmetic on e mod 2l and the digits.
 
 Column k of the shift matrix carries its one in row k-1 (mod l), so the
 matrix lowers a computational basis index by one and its adjoint raises it.
@@ -34,10 +36,11 @@ basis indices model classical register values.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import mul
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -275,6 +278,71 @@ def _monomials(l: int, n: int, codes) -> np.ndarray:
 def _digits(l: int, n: int) -> np.ndarray:
     """(l^n, n) table of base-l digits, most significant first."""
     return np.indices((l,) * n).reshape(n, -1).T
+
+
+def _code_digits(l: int, n: int, codes) -> np.ndarray:
+    """The (..., 2n) digits of monomial ``codes``: shift digits a, then clock digits b."""
+    return np.asarray(codes, dtype=np.intp)[..., None] // l ** np.arange(2 * n - 1, -1, -1) % l
+
+
+def _digit_codes(l: int, digits: np.ndarray) -> np.ndarray:
+    """The codes of (..., 2n) digit rows, the inverse of :func:`_code_digits`."""
+    return digits @ l ** np.arange(digits.shape[-1] - 1, -1, -1)
+
+
+def _weyl_product(
+    l: int, n: int, left: Tuple[np.ndarray, np.ndarray], right: Tuple[np.ndarray, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms ``(e, codes)`` of the products of the terms ``left`` and ``right``, elementwise.
+
+    A term ``(e, code)`` is ``nu^e W(x)`` with e mod 2l.  The group law
+    ``W(a, b) W(c, d) = zeta^(-b.c) W(a + c, b + d)`` makes the product of
+    ``nu^e W(a, b)`` and ``nu^f W(c, d)`` the term ``(e + f - 2 b.c, x + y)``.
+    """
+    e, f = np.asarray(left[0]), np.asarray(right[0])
+    x, y = _code_digits(l, n, left[1]), _code_digits(l, n, right[1])
+    phase = e + f - 2 * np.einsum("...i,...i->...", x[..., n:], y[..., :n])
+    return phase % (2 * l), _digit_codes(l, (x + y) % l)
+
+
+def _weyl_adjoint(l: int, n: int, terms: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms of the adjoints: ``(nu^e W(a, b))^H = nu^(-e - 2 a.b) W(-a, -b)``."""
+    e, x = np.asarray(terms[0]), _code_digits(l, n, terms[1])
+    phase = -e - 2 * np.einsum("...i,...i->...", x[..., :n], x[..., n:])
+    return phase % (2 * l), _digit_codes(l, -x % l)
+
+
+class _WeylTerms(Sequence):
+    """A read-only sequence of (d, d) matrices ``nu^e W(x)``, each known by its term.
+
+    ``exponents[i]`` (mod 2l) and ``codes[i]`` (see the module notes) name
+    element i; both are read-only.  The matrices come from ``build()``, called
+    once, on the first access to any of them, and are read-only too, so the
+    matrices and the terms cannot come to disagree.
+    """
+
+    def __init__(self, l: int, n: int, exponents, codes, build: Callable[[], Sequence]):
+        self.l, self.n = l, n
+        self.exponents, self.codes = (np.array(a, dtype=np.intp) for a in (exponents, codes))
+        for a in (self.exponents, self.codes):
+            a.setflags(write=False)
+        self._build = build
+
+    @cached_property
+    def _matrices(self) -> Tuple[np.ndarray, ...]:
+        matrices = tuple(np.asarray(m) for m in self._build())
+        for m in matrices:
+            m.setflags(write=False)
+        return matrices
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        return self._matrices[index]
+
+    def __repr__(self) -> str:
+        return f"_WeylTerms(l={self.l}, n={self.n}, len={len(self)})"
 
 
 def reflection_matrix(l: int) -> np.ndarray:

@@ -166,7 +166,7 @@ class TestSupportSearch:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name,l,n", NAMED_GRID_32, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID_32])
     def test_named_sets(self, name, l, n, mode):
-        _assert_same_support(prepare_generators(named_generator_set(name, l, n), mode))
+        _assert_same_support(prepare_generators(list(named_generator_set(name, l, n)), mode))
 
     @pytest.mark.parametrize("label,make,dim", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
     def test_acceptance_sets(self, label, make, dim):
@@ -245,7 +245,7 @@ class TestEngineChoice:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name,l,n", NAMED_GRID_32, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID_32])
     def test_named_sets(self, name, l, n, mode):
-        assert_same_routing(prepare_generators(named_generator_set(name, l, n), mode))
+        assert_same_routing(prepare_generators(list(named_generator_set(name, l, n)), mode))
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11, 1e-13])
     @pytest.mark.parametrize("mode", MODES)
@@ -507,7 +507,7 @@ class TestStackedPreprocessing:
     @pytest.mark.parametrize("name,l,n", NAMED_GRID + MULTI_BLOCK_SETS,
                              ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in NAMED_GRID + MULTI_BLOCK_SETS])
     def test_named_sets_bitwise(self, name, l, n, mode):
-        mats = named_generator_set(name, l, n)
+        mats = list(named_generator_set(name, l, n))
         got = prepare_generators(mats, mode).matrices
         ref = reference_prepare(mats, mode)
         assert len(got) == len(ref)
@@ -613,7 +613,7 @@ class TestStackedPreprocessing:
         # block (one matrix at d = 64), the identity and numpy's buffers for
         # the transposed read, 3.1 matrices in all.  A stacked copy of the
         # inputs would add k = 66 more.
-        mats = named_generator_set("biproducts", 2, 6)
+        mats = list(named_generator_set("biproducts", 2, 6))
         k, d = len(mats), mats[0].shape[0]
         assert _blocks(k, d) == (k, 0)
         tracemalloc.start()
@@ -623,6 +623,23 @@ class TestStackedPreprocessing:
         finally:
             tracemalloc.stop()
         assert peak <= (len(gen.matrices) + 4) * d * d * 16
+
+    def test_real_inputs_are_cast_one_block_at_a_time(self):
+        # 66 real float64 inputs of 64 x 64 are half a complex stack; beyond
+        # them the call holds the 132 prepared matrices (two complex stacks)
+        # and one block of temporaries.  A complex copy of every input, cast
+        # before the first block, held a third stack: 3.05 in all.
+        rng = np.random.default_rng(66)
+        mats = [rng.standard_normal((64, 64)) for _ in range(66)]
+        tracemalloc.start()
+        try:
+            gen = prepare_generators(mats, REAL_ANTIHERMITIAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(gen.matrices) + 4) * 64 * 64 * 16
+        ref = reference_prepare(mats, REAL_ANTIHERMITIAN)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(gen.matrices, ref, strict=True))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("mats", VALIDATION_CASES, ids=range(len(VALIDATION_CASES)))
@@ -680,11 +697,20 @@ def test_qudit_universal_at_81_stays_small():
     assert peak < 100 * 1024 * 1024
 
 
+def test_biproducts_at_256_form_no_matrix():
+    # The set reaches closure as its Weyl terms: neither its 120 inputs of
+    # 256 x 256 (120 MiB) nor their 240 split matrices are formed, where the
+    # matrix path peaked at 394 MB.  The index sweep takes about 24 MB.
+    report, peak = _launch_closure("--set", "biproducts", "--dim", "2", "--sites", "8", "--max-dim", "256")
+    assert "target-dim: 65535\nachieved-dim: 120\n" in report
+    assert peak < 100 * 1024 * 1024
+
+
 def test_biproducts_at_128_peak_at_the_inputs_plus_the_split():
-    # Over the baseline of a closure whose inputs are negligible: 91 inputs
-    # of 128 x 128 (22.75 MiB) and their 182 split matrices.  A stacked copy
-    # of the inputs would add another 22.75 MiB, three times the allowance
-    # for block temporaries and allocator slack.
+    # The bound the matrix path met, over the baseline of a closure whose
+    # inputs are negligible: 91 inputs of 128 x 128 (22.75 MiB) and their 182
+    # split matrices, with 8 MiB for block temporaries and allocator slack.
+    # The set now reaches closure as its Weyl terms and forms none of them.
     _, baseline = _launch_closure("--set", "biproducts", "--dim", "2", "--sites", "2")
     report, peak = _launch_closure("--set", "biproducts", "--dim", "2", "--sites", "7", "--max-dim", "128")
     assert "target-dim: 16383\nachieved-dim: 91\n" in report
