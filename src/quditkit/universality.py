@@ -30,9 +30,8 @@ from .weyl import (
     _code_digits,
     _decompose,
     _diagonal_coefficients,
-    _digit_codes,
-    _digits,
     _monomial_entries,
+    _negation,
     _nu_powers,
     _weyl_adjoint,
     _wrapped_diagonals,
@@ -154,15 +153,17 @@ class ClosureResult:
     (d, d) matrices: a tuple from the dense engine; from the monomial
     engine, a read-only :class:`~collections.abc.Sequence` (``len``,
     indexing, slicing, iteration) that builds each matrix on request, so
-    the result costs O(d^2) memory at any dimension.  A dense basis is a
-    tuple of views of one (capacity, d, d) array, the rows the engine grew,
-    so that array and its growth slack live as long as the result: at most
-    max(32, 2 * ``achieved_dim``) rows and at most d^2.  A monomial basis is
-    orthonormal to rounding.  A dense basis is orthonormal to the accuracy
-    of its Gram-Schmidt steps: ``max |F^H F - I|`` over the flattened
-    basis F is at most 2.1e-14 on the named sets with d <= 16, but an
-    element admitted with a small relative residual keeps less: 3.9e-11 on
-    a real-mode block pair of su(5) + su(6) in the tests.
+    the result holds O(``achieved_dim``) memory at any dimension: the
+    codes reached, in an array of at most twice as many entries.  A dense
+    basis is a tuple of views of one (capacity, d, d) array, the rows the
+    engine grew, so that array and its growth slack live as long as the
+    result: at most max(32, 2 * ``achieved_dim``) rows and at most d^2.  A
+    monomial basis is orthonormal to rounding.  A dense basis is
+    orthonormal to the accuracy of its Gram-Schmidt steps: ``max |F^H F -
+    I|`` over the flattened basis F is at most 2.1e-14 on the named sets
+    with d <= 16, but an element admitted with a small relative residual
+    keeps less: 3.9e-11 on a real-mode block pair of su(5) + su(6) in the
+    tests.
     """
 
     achieved_dim: int
@@ -309,13 +310,14 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
 
     A set prepared from a named set's Weyl terms (see
     :func:`prepare_generators`; l is then the smallest base of d, the first
-    factorization tried) is decided from the terms alone when it can be.
-    The kept seeds, the codes they first reach, their coefficients and their
-    parts off those codes are read from the inputs' phases and codes, with
-    the thresholds above, and the checks above run on them; no matrix is
-    formed.  When a check fails, or when a compared quantity lies within
-    1e-12 of ``tol``, where the rounding of the matrices could decide it the
-    other way, the matrices are prepared and decide as above.
+    factorization tried) is decided from the terms alone when it can be:
+    the seeds' norms, coefficients and parts off any monomials are read
+    exactly from the inputs' phases and codes, and the same checks run on
+    them, with no matrix formed.  The matrices are prepared and decide as
+    above when a check fails there (an input along the identity fails one,
+    although its projection would remove it), or when a compared quantity
+    lies within 1e-12 of ``tol``, where their rounding could decide it the
+    other way.
 
     Orthonormalized seeds would give the same choice in exact arithmetic:
     seed i reaches new monomials only through its part outside the span of
@@ -387,7 +389,8 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     the dense engine's basis spans, but is a different basis of it.  It is
     not formed: :attr:`ClosureResult.basis` builds each element when asked
     for it.  A sweep costs O(d^2) integer operations, O(d^4) for a
-    universal set, in O(d^2) memory.
+    universal set.  Its memory is one byte per code, to mark the members,
+    and O(n) words per code reached.
 
     ``tol`` must be finite and at least machine epsilon (:class:`ValueError` otherwise).
     An input whose Frobenius norm overflows to infinity, possible once its
@@ -513,48 +516,62 @@ def _factorizations(d: int) -> List[Tuple[int, int]]:
     return [(l, n) for l, n in pairs if l**n == d]
 
 
-def _negated(l: int, n: int) -> np.ndarray:
-    """Code of ``-x`` for every monomial code x of n l-level sites."""
-    return ((-_digits(l, 2 * n)) % l) @ (l ** np.arange(2 * n - 1, -1, -1))
-
-
 def _monomial_support(
     seeds: Sequence[np.ndarray], norms: np.ndarray, d: int, mode: str, tol: float
 ) -> Optional[Tuple[int, int, np.ndarray]]:
-    """``(l, n, codes)`` when the ``seeds`` span all of their monomial support S0.
-
-    ``codes`` lists S0 in the order the seeds first reach it, each seed's
-    monomials by increasing code.  None when no factorization of d
-    qualifies (see :func:`closure`).
-    """
+    """``(l, n, codes)`` of the first factorization of d at which the ``seeds`` span all
+    of their monomial support, listed as :func:`_reach_support` lists it; None if none."""
     for l, n in _factorizations(d):
-        found = _first_reached(seeds, norms, l, n, tol)
-        if found is None:
-            continue
-        codes, coefficients, outside = found
-        if _rank_margin(codes, coefficients, l, n, mode) <= tol:
-            continue
-        # A seed's part off its own monomials may lie along ones other seeds reach.
-        if any(_off_support(seeds[i], norms[i], codes, l, n) > tol for i in np.flatnonzero(outside > tol)):
-            continue
-        return l, n, codes
+        reach = _first_reached(seeds, norms, l, n, tol)
+        found = None if reach is None else _reach_support(reach, l, n, mode, tol)
+        if found is not None:
+            return l, n, found[0]
     return None
+
+
+def _reach_support(
+    reach: Tuple[tuple, np.ndarray, Callable], l: int, n: int, mode: str, tol: float
+) -> Optional[Tuple[np.ndarray, List[float]]]:
+    """``(codes, compared)`` when the seeds of ``reach`` span all of their monomial support S0.
+
+    ``reach`` is ``((seed, code, value), outside, off_support)``, entries in
+    any order: unit seed ``seed[j]`` is ``value[j]`` along ``W(code[j]) /
+    sqrt(d)``, a component of norm above ``tol``; ``outside[i]`` is the
+    norm of unit seed i's part off its own entries, ``off_support(i,
+    codes)`` its part off ``codes``.  ``codes`` lists S0 in first-reach
+    order, seed by seed and each seed's by increasing code; ``compared``
+    holds the :func:`_rank_margin` and each ``off_support`` measured.  None
+    when a check of :func:`closure` fails.
+    """
+    (seed, met, values), outside, off_support = reach
+    order = np.lexsort((met, seed))
+    seed, met, values = seed[order], met[order], values[order]
+    _, first, column = np.unique(met, return_index=True, return_inverse=True)
+    codes = met[np.sort(first)]
+    rows = np.zeros((len(outside), len(codes)), dtype=complex)
+    rows[seed, np.argsort(np.argsort(first))[column]] = values  # each code's place in first-reach order
+    compared = [_rank_margin(codes, rows, l, n, mode)]
+    if compared[0] <= tol:
+        return None
+    # A seed's part off its own monomials may lie along ones other seeds reach.
+    for i in np.flatnonzero(outside > tol):
+        compared.append(off_support(i, codes))
+        if compared[-1] > tol:
+            return None
+    return codes, compared
 
 
 def _rank_margin(codes: np.ndarray, coefficients: np.ndarray, l: int, n: int, mode: str) -> float:
     """The |S0|-th singular value of the seeds' ``coefficients`` on S0 = ``codes``, or 0
-    when S0 holds the identity or, in real mode, some x without -x (see :func:`closure`)."""
-    if 0 in codes:
+    when the seeds are fewer than the codes, or S0 holds the identity or, in real mode,
+    some x without -x (see :func:`closure`)."""
+    if len(coefficients) < len(codes) or 0 in codes:
         return 0.0
     # the codes are distinct, so they hold -x with every x when negation permutes them
-    if mode == REAL_ANTIHERMITIAN and not np.array_equal(np.sort(_negated_codes(l, n, codes)), np.sort(codes)):
+    negated = _negation(l, _code_digits(l, n, codes))[1]
+    if mode == REAL_ANTIHERMITIAN and not np.array_equal(np.sort(negated), np.sort(codes)):
         return 0.0
     return float(np.min(np.linalg.svd(coefficients, compute_uv=False), initial=np.inf))
-
-
-def _negated_codes(l: int, n: int, codes: np.ndarray) -> np.ndarray:
-    """The code of ``-x`` for each code x of ``codes``."""
-    return _digit_codes(l, -_code_digits(l, n, codes) % l)
 
 
 def _term_support(terms: _WeylTerms, mode: str, tol: float) -> Optional[Tuple[int, int, np.ndarray]]:
@@ -563,22 +580,16 @@ def _term_support(terms: _WeylTerms, mode: str, tol: float) -> Optional[Tuple[in
 
     The prepared inputs are ``nu^e W(x)`` in complex mode and, in real mode,
     ``i(M + M*)`` and ``M - M*`` of ``M = nu^e W(x)``, with
-    ``M* = nu^(-e - 2 a.b) W(-x)``.  Their norms, their coefficients along
-    each ``W(x) / sqrt(d)`` and the part off the monomials they reach follow
-    from those terms, and the thresholds of :func:`_kept_seeds` and
-    :func:`_first_reached` select the kept seeds, the first-reach codes and
-    the coefficient rows.  :func:`_rank_margin` then checks the codes.
-
-    None, so that the matrices decide, when a check fails, when some unit
-    seed has a part off its reached monomials above ``tol`` (the matrix path
-    then measures it off every reached monomial), when an input is the
-    identity, or when a compared quantity lies within ``_TERM_MARGIN`` of
-    ``tol``, where the rounding of the matrix path could decide it the other
-    way.
+    ``M* = nu^(-e - 2 a.b) W(-x)``, so their norms and coefficients follow
+    exactly from the terms.  The threshold of :func:`_kept_seeds` selects
+    the seeds, and :func:`_reach_support` checks their reach.  None, so
+    that the matrices decide, when a check fails there (an input along the
+    identity fails the first, although the projection the terms leave out
+    would remove it), or when a compared quantity lies within
+    ``_TERM_MARGIN`` of ``tol``, where the matrices' rounding could decide
+    it the other way.
     """
     l, n = terms.l, terms.n
-    if (terms.codes == 0).any():  # the projection these terms leave out would remove it
-        return None
     codes, coefficients = _prepared_terms(terms, mode)
     size = np.sqrt(np.einsum("ij,ij->i", np.abs(coefficients), np.abs(coefficients)))  # norm / sqrt(d)
     ratio = size / size.max()
@@ -588,25 +599,13 @@ def _term_support(terms: _WeylTerms, mode: str, tol: float) -> Optional[Tuple[in
     reached = magnitude > tol
     off = np.where(reached, 0.0, magnitude)
     outside = np.sqrt(np.einsum("ij,ij->i", off, off))
-    if not kept.any() or (outside > tol).any():
+    entries = np.nonzero(reached)[0], codes[reached], unit[reached]
+    off_support = lambda i, support: float(np.linalg.norm(off[i][~np.isin(codes[i], support)]))  # noqa: E731
+    found = _reach_support((entries, outside, off_support), l, n, mode, tol)
+    if found is None:
         return None
-    # seed by seed, each seed's codes in increasing order
-    order = np.argsort(codes, axis=1, kind="stable")
-    codes, unit, reached = (np.take_along_axis(a, order, axis=1) for a in (codes, unit, reached))
-    met = codes[reached]
-    _, first = np.unique(met, return_index=True)
-    support = met[np.sort(first)]
-    if len(support) > len(codes):
-        return None
-    sorter = np.argsort(support)
-    column = sorter[np.searchsorted(support, met, sorter=sorter)]
-    rows = np.zeros((len(codes), len(support)), dtype=complex)
-    rows[np.nonzero(reached)[0], column] = unit[reached]
-    sigma = _rank_margin(support, rows, l, n, mode)
-    compared = np.concatenate((ratio, magnitude.ravel(), outside, [sigma]))
-    if sigma <= tol or np.min(np.abs(compared - tol)) <= _TERM_MARGIN:
-        return None
-    return l, n, support
+    compared = np.concatenate((ratio, magnitude.ravel(), outside, found[1]))
+    return None if np.min(np.abs(compared - tol)) <= _TERM_MARGIN else (l, n, found[0])
 
 
 def _prepared_terms(terms: _WeylTerms, mode: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -640,16 +639,15 @@ def _off_support(seed: np.ndarray, norm: float, codes: np.ndarray, l: int, n: in
 
 def _first_reached(
     seeds: Sequence[np.ndarray], norms: np.ndarray, l: int, n: int, tol: float
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(codes, coefficients, outside)``: the seeds over the monomials they reach.
+) -> Optional[Tuple[tuple, np.ndarray, Callable]]:
+    """The reach of the unit seeds ``seeds[i] / norms[i]``, as :func:`_reach_support` takes it.
 
     A seed reaches W(x) when its component along W(x) has norm above
-    ``tol`` times its norm (``norms``).  ``codes`` lists the reached
-    monomials in first-reach order.  Row i of ``coefficients`` holds the
-    unit seed ``seeds[i] / norms[i]`` along each ``W(x) / sqrt(d)``, zero
-    where it does not reach x; ``outside[i]`` is the norm of the unit
-    seed's part off the monomials it reaches, summed from that part's own
-    entries and coefficients.  None as soon as the codes outnumber the seeds.
+    ``tol`` times its norm.  The entries run seed by seed, each seed's by
+    increasing code.  ``outside`` is summed from the entries and
+    coefficients of each unit seed's part off the monomials it reaches,
+    and :func:`_off_support` measures a part off other codes.  None as soon
+    as the codes reached outnumber the seeds.
 
     The seeds' wrapped diagonals are gathered ``_SUPPORT_ROWS`` seeds at a
     time, which bounds the workspace, and a dense seed ends the search at
@@ -662,8 +660,8 @@ def _first_reached(
     rows, cols = _wrapped_diagonals(l, n)
     flat = rows * d + cols  # the same entries, as indices into a flattened matrix
     gathered = np.empty((min(k, _SUPPORT_ROWS), d, d), dtype=complex)
-    member = np.zeros(d * d, dtype=bool)
-    blocks, entries = [], []
+    reached = np.empty(0, dtype=np.intp)
+    entries = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=complex))]
     outside = np.zeros(k)
     for start in range(0, k, _SUPPORT_ROWS):
         stop = min(k, start + _SUPPORT_ROWS)
@@ -690,78 +688,72 @@ def _first_reached(
         diagonal = live[row]
         met = (diagonal % d) * d + clock
         entries.append((start + diagonal // d, met, table[row, clock] * (np.sqrt(d) / norm[diagonal])))
-        _, first = np.unique(met, return_index=True)
-        met = met[np.sort(first)]
-        met = met[~member[met]]
-        member[met] = True
-        blocks.append(met)
-        if np.count_nonzero(member) > k:
+        reached = np.union1d(reached, met)
+        if len(reached) > k:
             return None
-    codes = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
-    column = np.empty(d * d, dtype=np.intp)
-    column[codes] = np.arange(len(codes))
-    coefficients = np.zeros((k, len(codes)), dtype=complex)
-    for seed, met, values in entries:
-        coefficients[seed, column[met]] = values
-    return codes, coefficients, outside
+    off_support = lambda i, codes: _off_support(seeds[i], norms[i], codes, l, n)  # noqa: E731
+    return tuple(map(np.concatenate, zip(*entries))), outside, off_support
 
 
 def _monomial_closure(l: int, n: int, seed_codes: np.ndarray, mode: str, tol: float) -> ClosureResult:
-    """The closure of the monomials ``seed_codes`` by index arithmetic (see :func:`closure`)."""
+    """The closure of the monomials ``seed_codes`` by index arithmetic (see :func:`closure`);
+    its arrays grow by :func:`_grown`, so memory follows the codes reached, not d^2."""
     d = l**n
-    target = d * d - 1
-    digits = _digits(l, 2 * n)  # row x: shift digits a, then clock digits b
+    target = d * d - 1  # the identity, code 0, is never reached
     weights = l ** np.arange(2 * n - 1, -1, -1)
-    neg = _negated(l, n) if mode == REAL_ANTIHERMITIAN else None
-    position = np.empty(d * d, dtype=np.intp)  # scratch for _with_negations
     member = np.zeros(d * d, dtype=bool)
-    codes = np.empty(target, dtype=np.intp)  # the identity, code 0, is never reached
-    rows = np.empty((target, 2 * n), dtype=digits.dtype)  # the digits of each code
-    size = len(seed_codes)
-    codes[:size] = seed_codes
-    rows[:size] = digits[seed_codes]
-    member[seed_codes] = True
+    codes = np.array(seed_codes, dtype=np.intp)
+    rows = _code_digits(l, n, codes)
+    sums = np.empty_like(rows)
+    size = len(codes)
+    member[codes] = True
 
     def sweep(i: int, frontier_start: int) -> int:
-        nonlocal size
+        nonlocal codes, rows, sums, size
         x = rows[i]
+        partners = frontier_start + size - (i + 1)
+        sums = _grown(sums, 0, partners, target)
+        z = sums[:partners]
+        np.add(rows[:frontier_start], x, out=z[:frontier_start])
+        np.add(rows[i + 1:size], x, out=z[frontier_start:])
+        np.remainder(z, l, out=z)
         # [W(x), W(y)] is a nonzero multiple of W(x + y) iff the symplectic
-        # form a_y.b_x - b_y.a_x = y.Jx is nonzero mod l
+        # form y.Jx, which is (x + y).Jx, is nonzero mod l
         jx = np.concatenate((-x[n:], x[:n]))
-        y = np.concatenate((rows[:frontier_start], rows[i + 1:size]))
-        omega = (y @ jx) % l
-        sums = ((x + y) % l) @ weights
-        new = sums[(omega != 0) & ~member[sums]]
-        if neg is not None and new.size:
-            new = _with_negations(new, neg, position)
-        member[new] = True
-        codes[size:size + len(new)] = new
-        rows[size:size + len(new)] = digits[new]
-        size += len(new)
+        sum_codes = z @ weights
+        new = ((z @ jx) % l != 0) & ~member[sum_codes]
+        if new.any():
+            new_codes, new_rows = sum_codes[new], z[new]
+            if mode == REAL_ANTIHERMITIAN:
+                # an anti-Hermitian matrix with a component along W(z) has one along W(-z)
+                minus_rows, minus = _negation(l, new_rows)
+                take = _pairs(new_codes, minus)
+                new_codes, new_rows = np.append(new_codes, minus)[take], np.concatenate((new_rows, minus_rows))[take]
+            stop = size + len(new_codes)
+            codes, rows = _grown(codes, size, stop, target), _grown(rows, size, stop, target)
+            codes[size:stop], rows[size:stop] = new_codes, new_rows
+            member[new_codes] = True
+            size = stop
         return size
 
     rounds = _run_rounds(size, sweep, target)
     return _result(_MonomialBasis(l, n, codes[:size], mode), target, rounds, tol, "monomial")
 
 
-def _with_negations(new: np.ndarray, neg: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """Each pair {z, -z} met in ``new``, in order of first meeting, as z then -z.
+def _pairs(codes: np.ndarray, negated: np.ndarray) -> List[int]:
+    """Each pair {x, -x} met in the distinct ``codes``, in order of first meeting, as x then -x,
+    given as indices into ``codes`` followed by ``negated``, the code of -x for each x.
 
-    An anti-Hermitian matrix with a component along W(z) has one along
-    W(-z), so real mode admits the two together; members stay closed under
-    negation, so neither is a member yet.  The codes in ``new`` are
-    distinct, so ``position`` (scratch, one entry per code) records where
-    each is met, and z leads its pair unless -z is met before it.
+    x = -x counts once.  A sweep admits each pair it meets, so a run loops once per code.
     """
-    order = np.arange(len(new))
-    partner = neg[new]
-    position[partner] = len(new)  # met after everything, unless in new
-    position[new] = order
-    lead = new[position[partner] >= order]
-    pairs = np.stack((lead, neg[lead]), axis=1)
-    keep = np.ones(pairs.shape, dtype=bool)
-    keep[:, 1] = pairs[:, 1] != lead  # z = -z counts once
-    return pairs[keep]
+    take, met = [], set()
+    for j, (x, minus_x) in enumerate(zip(codes.tolist(), negated.tolist())):
+        if x not in met:
+            met.add(minus_x)
+            take.append(j)
+            if minus_x != x:
+                take.append(len(codes) + j)
+    return take
 
 
 class _MonomialBasis(Sequence):
@@ -808,19 +800,16 @@ def _monomial_terms(
     if mode == COMPLEX_TRACELESS:
         return codes, np.full(len(codes), 1 / np.sqrt(d)), np.zeros(len(codes))
     # codes holds -x with every x; x leads its pair if it comes first
-    neg = _negated(l, n)
-    position = np.empty(d * d, dtype=np.intp)
-    position[codes] = np.arange(len(codes))
-    first = codes[position[codes] <= position[neg[codes]]]
-    paired = neg[first] != first
-    lead = np.repeat(first, 1 + paired)
-    second = np.zeros(len(lead), dtype=bool)
-    second[np.cumsum(1 + paired)[paired] - 1] = True
+    negated = _negation(l, _code_digits(l, n, codes))[1]
+    take = np.array(_pairs(codes, negated), dtype=np.intp)
+    second = take >= len(codes)
+    first = take - len(codes) * second  # the index of each element's pair in codes
+    lead = codes[first]
     # W - W* and i (W + W*) for a pair {x, -x}; when x = -x, W* = +-W and
     # their sum is the one nonzero combination
     a = np.where(second, 1j, 1.0) / np.sqrt(2 * d)
     b = np.where(second, 1j, -1.0) / np.sqrt(2 * d)
-    alone = ~np.repeat(paired, 1 + paired)
+    alone = negated[first] == lead
     a[alone], b[alone] = (1 + 1j) / (2 * np.sqrt(d)), (1j - 1) / (2 * np.sqrt(d))
     return lead, a, b
 
@@ -887,9 +876,9 @@ class _BasisBuilder:
 
     def _append(self, element: np.ndarray) -> None:
         if self.coords is None:
-            self.rows = _grown(self.rows, self.size, self.size + 1)
+            self.rows = _grown(self.rows, self.size, self.size + 1, self.d * self.d)
         else:
-            self.coords = _grown(self.coords, self.size, self.size + 1)
+            self.coords = _grown(self.coords, self.size, self.size + 1, self.d * self.d)
         self._flat()[self.size] = element.reshape(-1)
         self.size += 1
 
@@ -907,7 +896,7 @@ class _BasisBuilder:
             self._encode(0.5 * self.elements(), self.coords[:size])
         if size > len(self.rows):
             # every row is a decode of its coordinates: drop them, then regrow
-            rows = _capacity(self.rows, size)
+            rows = _capacity(self.rows, size, d * d)
             self.rows = None
             self.rows = np.empty((rows, d, d), dtype=complex)
             self.decoded = 0
@@ -1037,20 +1026,20 @@ def _project(resid: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return resid - np.conj(np.conj(resid) @ flat.T) @ flat
 
 
-def _grown(array: np.ndarray, filled: int, needed: int) -> np.ndarray:
+def _grown(array: np.ndarray, filled: int, needed: int, limit: int) -> np.ndarray:
     """``array`` if it has ``needed`` rows, else a copy of its first ``filled``
     rows with room for :func:`_capacity` rows."""
     if needed <= len(array):
         return array
-    grown = np.empty((_capacity(array, needed),) + array.shape[1:], dtype=array.dtype)
+    grown = np.empty((_capacity(array, needed, limit),) + array.shape[1:], dtype=array.dtype)
     grown[:filled] = array[:filled]
     return grown
 
 
-def _capacity(array: np.ndarray, needed: int) -> int:
-    """Rows to grow a full ``array`` to: twice as many, or ``needed`` if more, but no
-    more than a row has entries: that many orthonormal rows span every row."""
-    return min(array[0].size, max(needed, 2 * len(array)))
+def _capacity(array: np.ndarray, needed: int, limit: int) -> int:
+    """Rows to grow a full ``array`` to: twice as many, or ``needed`` if more, but no more
+    than ``limit``, all it can need (d^2 orthonormal rows span every (d, d) row)."""
+    return min(limit, max(needed, 2 * len(array)))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

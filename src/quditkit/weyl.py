@@ -305,11 +305,17 @@ def _weyl_product(
     return phase % (2 * l), _digit_codes(l, (x + y) % l)
 
 
+def _negation(l: int, digits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The digits and the codes of ``-x`` for (..., 2n) digit rows x."""
+    negated = -digits % l
+    return negated, _digit_codes(l, negated)
+
+
 def _weyl_adjoint(l: int, n: int, terms: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """The terms of the adjoints: ``(nu^e W(a, b))^H = nu^(-e - 2 a.b) W(-a, -b)``."""
     e, x = np.asarray(terms[0]), _code_digits(l, n, terms[1])
     phase = -e - 2 * np.einsum("...i,...i->...", x[..., :n], x[..., n:])
-    return phase % (2 * l), _digit_codes(l, -x % l)
+    return phase % (2 * l), _negation(l, x)[1]
 
 
 class _WeylTerms(Sequence):

@@ -15,8 +15,9 @@ it chose its engine from the seeds after Gram-Schmidt, the reference for
 the choice from the raw seeds' Weyl coefficients (``seed_coefficients``
 and ``off_support``).
 ``reference_monomial_closure`` is the monomial engine's sweep as it
-gathered each partner's digits from the code table, the reference for the
-sweep over stored digit rows.
+gathered each partner's digits from the code table and negated codes
+through the table ``_negated``, the reference for the sweep over the
+digits of the codes it reaches; ``_monomial_basis`` reads the same table.
 ``reference_prepare`` is :func:`quditkit.prepare_generators` input by
 input, the reference for its stacked arithmetic; ``reference_validate``
 spells out the checks of a hand-built :class:`quditkit.GeneratorSet`.
@@ -55,7 +56,6 @@ from quditkit.universality import (
     _ANTIHERMITIAN_TOL,
     _SCREEN_ROWS,
     _SUPPORT_ROWS,
-    _negated,
     _result,
 )
 from quditkit.weyl import _decompose, _digits, _monomial_entries
@@ -203,6 +203,11 @@ def _orthonormal_support(
             continue
         return l, n, codes
     return None
+
+
+def _negated(l: int, n: int) -> np.ndarray:
+    """Code of ``-x`` for every monomial code x of n l-level sites, from the table of all digits."""
+    return ((-_digits(l, 2 * n)) % l) @ (l ** np.arange(2 * n - 1, -1, -1))
 
 
 def reference_monomial_closure(l: int, n: int, seed_codes: np.ndarray, mode: str, tol: float) -> ClosureResult:

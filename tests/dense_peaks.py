@@ -13,7 +13,9 @@ defaults are real mode at d = 32, 48 and 64.  The second form runs one
 process and prints its report's dimensions, the process's wall time and its
 ``ru_maxrss``.  This launcher imports nothing heavy, so it stays far below
 every child's peak, which Linux starts at the peak of the process it forks
-from.
+from.  Each line ends with the glibc ``MALLOC_*`` settings of the
+environment the children inherit, since the allocator's mmap threshold and
+top pad move both ``ru_maxrss`` and the wall time.
 """
 
 import os
@@ -36,6 +38,12 @@ print(f"{sys.argv[2]} d={d}: {result.achieved_dim} of {result.target_dim} in {se
 """
 
 
+def malloc_settings() -> str:
+    """The ``MALLOC_*`` variables of the environment, or a note that none is set."""
+    found = [f"{key}={value}" for key, value in sorted(os.environ.items()) if key.startswith("MALLOC_")]
+    return " ".join(found) or "no MALLOC_* set"
+
+
 def named_set(name: str, l: int, n: int) -> None:
     d = l**n
     argv = [sys.executable, "-m", "quditkit", "closure", "--set", name,
@@ -53,7 +61,7 @@ def named_set(name: str, l: int, n: int) -> None:
         sys.exit(f"closure exited with status {os.waitstatus_to_exitcode(status)}")
     report = dict(line.split(": ", 1) for line in lines)
     print(f"{name} d={d} (l={l}, n={n}): {report['achieved-dim']} of {report['target-dim']} "
-          f"in {seconds:.2f} s, peak {usage.ru_maxrss / 1024:.0f} MB")
+          f"in {seconds:.2f} s, peak {usage.ru_maxrss / 1024:.0f} MB, {malloc_settings()}")
 
 
 def main(argv):
@@ -63,7 +71,8 @@ def main(argv):
         return
     mode = argv.pop(0) if argv and argv[0] in ("real", "complex") else "real"
     for d in argv or ["32", "48", "64"]:
-        subprocess.run([sys.executable, "-c", CHILD, d, mode], check=True)
+        child = subprocess.run([sys.executable, "-c", CHILD, d, mode], check=True, stdout=subprocess.PIPE, text=True)
+        print(f"{child.stdout.strip()}, {malloc_settings()}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import closure_reference
 from closure_reference import (
+    _negated,
     _reference_with_negations,
     reference_monomial_closure,
     reference_prepare,
@@ -52,8 +53,8 @@ from quditkit.universality import (
     _kept_seeds,
     _monomial_closure,
     _monomial_support,
-    _negated,
     _off_support,
+    _reach_support,
     _seed,
 )
 from test_closure_engine import ACCEPTANCE_SETS, _block_pair, _random_pair
@@ -144,6 +145,16 @@ class TestLazyBasis:
 # ---------------------------------------------------------------- support search
 
 
+def _rows(entries, k):
+    """The codes of reach entries listed seed by seed, in order of first
+    listing, and the k seeds' coefficient rows on them."""
+    seed, met, values = entries
+    codes = list(dict.fromkeys(met.tolist()))
+    rows = np.zeros((k, len(codes)), dtype=complex)
+    rows[seed, [codes.index(code) for code in met.tolist()]] = values
+    return np.array(codes, dtype=np.intp), rows
+
+
 def _assert_same_support(gen, tol=1e-9):
     # on the orthonormal seeds of the dense engine, and on the raw seeds
     raw, norms = _kept_seeds(gen, tol)
@@ -154,12 +165,17 @@ def _assert_same_support(gen, tol=1e-9):
             ref = closure_reference.seed_coefficients(seeds, norms, l, n, tol)
             assert (new is None) == (ref is None), (l, n)
             if ref is not None:
-                codes, coefficients, outside = new
+                entries, outside, off_support = new
+                codes, coefficients = _rows(entries, len(seeds))
                 assert np.array_equal(codes, ref[0]), (l, n)
                 assert max_abs(coefficients - ref[1]) <= 1e-14
                 # summed from the skipped diagonals' entries instead of their
                 # coefficients, and from another transform: equal up to its rounding
                 assert np.allclose(outside, ref[2], rtol=1e-9, atol=1e-15)
+                # the shared checks order the entries themselves
+                backwards = tuple(a[::-1] for a in entries)
+                found = _reach_support((backwards, outside, off_support), l, n, gen.mode, tol)
+                assert found is None or np.array_equal(found[0], ref[0]), (l, n)
 
 
 class TestSupportSearch:
@@ -186,7 +202,7 @@ class TestSupportSearch:
         for factor in ((3, 2), (9, 1)):
             new = _first_reached(seeds, np.ones(2), *factor, tol)
             ref = closure_reference._first_reached(seeds, *factor, tol)
-            assert np.array_equal(None if new is None else new[0], ref)
+            assert np.array_equal(None if new is None else _rows(new[0], 2)[0], ref)
 
 
 @_property
@@ -700,7 +716,8 @@ def test_qudit_universal_at_81_stays_small():
 def test_biproducts_at_256_form_no_matrix():
     # The set reaches closure as its Weyl terms: neither its 120 inputs of
     # 256 x 256 (120 MiB) nor their 240 split matrices are formed, where the
-    # matrix path peaked at 394 MB.  The index sweep takes about 24 MB.
+    # matrix path peaked at 394 MB.  The index sweep holds the 120 codes it
+    # reaches, where tables of all 65535 codes took about 24 MB.
     report, peak = _launch_closure("--set", "biproducts", "--dim", "2", "--sites", "8", "--max-dim", "256")
     assert "target-dim: 65535\nachieved-dim: 120\n" in report
     assert peak < 100 * 1024 * 1024

@@ -3,6 +3,7 @@ the terms of every named set against its matrices, and the term path of
 ``closure`` against the matrix path it stands in for."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from test_monomial_fast_paths import NAMED_GRID_81
 
 SITES = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1), (6, 1), (7, 2)]
 TOLERANCES = [1e-11, 1e-9, 1e-7, 0.75]
+# machine epsilon, where the matrices' rounding dust reaches components
+# above tol, and 1/sqrt(2), a real-mode unit seed's component along W(x)
+EDGE_TOLERANCES = [2.220446049250313e-16, 1e-13, 0.7071067811865476]
 
 
 def _matrices(l, n, terms):
@@ -141,6 +145,21 @@ def test_term_path_decides_as_the_matrix_path(name):
                 assert _summary(closure(gen, tol=tol)) == _summary(closure(matrices, tol=tol)), case
 
 
+@pytest.mark.parametrize("tol", EDGE_TOLERANCES)
+@pytest.mark.parametrize("mode", MODES)
+def test_term_path_decides_as_the_matrix_path_at_the_edges(mode, tol):
+    # Term rows decided with no margin gave the matrices' verdict at every tol
+    # from 1e-15 to 0.5, but not at machine epsilon (generalized (3, 2) goes
+    # dense on the matrices) nor on two real-mode sets at 1/sqrt(2).  The
+    # term path may decline here for reasons the matrices do not share, so
+    # the closures are compared, not the declines.
+    for name, l, n in (case for case in NAMED_GRID_81 if case[1] ** case[2] <= 9):
+        named = named_generator_set(name, l, n)
+        got = closure(prepare_generators(named, mode), tol=tol)
+        want = closure(prepare_generators(list(named), mode), tol=tol)
+        assert _summary(got) == _summary(want), (name, l, n)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_term_path_declines_real_mode_at_075_only_past_qubits(mode):
     # A real-mode unit seed at l >= 3 has components 1/sqrt(2) along W(x) and
@@ -181,6 +200,20 @@ def test_deciding_a_named_set_builds_no_matrix():
     assert "_matrices" not in vars(named)
     assert "_matrices" not in vars(gen.matrices)
     assert len(gen.matrices) == 240
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deciding_a_named_set_takes_memory_by_the_codes_reached(mode):
+    # The sweep once built tables of all 65535 codes: a 24.0 MiB peak in real
+    # mode and 17.1 MiB in complex mode.  It reaches 120.
+    tracemalloc.start()
+    try:
+        result = closure(prepare_generators(named_generator_set("biproducts", 2, 8), mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.engine, result.achieved_dim) == ("monomial", 120)
+    assert peak < 2 * 1024 * 1024
 
 
 def test_a_term_set_that_fails_a_check_runs_on_its_matrices():
