@@ -7,25 +7,42 @@ decides universality of generator sets by Lie-algebra commutator closure,
 and applies gates to multi-qudit state vectors.  A CLI (``quditkit``)
 exposes generation, verification, closure, decomposition, and circuit
 application over flat JSON files.
+
+``import quditkit`` loads neither numpy nor the library modules.  The first
+read of a public name, of ``__all__``, or a ``from quditkit import *``
+imports the library; a submodule (``from quditkit import cli``) imports only
+itself and what it needs.
 """
 
-from .linalg import *  # noqa: F401,F403
-from .weyl import *  # noqa: F401,F403
-from .clifford import *  # noqa: F401,F403
-from .universality import *  # noqa: F401,F403
-from .circuit import *  # noqa: F401,F403
-from .verify import *  # noqa: F401,F403
-from . import circuit, clifford, linalg, universality, verify, weyl
+import importlib
 
 __version__ = "0.1.0"
 
-# each public name is listed once, in the __all__ of the module defining it
-__all__ = [
-    "__version__",
-    *linalg.__all__,
-    *weyl.__all__,
-    *clifford.__all__,
-    *universality.__all__,
-    *circuit.__all__,
-    *verify.__all__,
-]
+# the modules whose __all__ make up the public namespace; each public name is
+# listed once, in the __all__ of the module defining it
+_LIBRARY = ("linalg", "weyl", "clifford", "universality", "circuit", "verify")
+_SUBMODULES = frozenset(_LIBRARY + ("cli", "serialize", "vocabulary"))
+
+
+def _load_library() -> list:
+    names = ["__version__"]
+    for module_name in _LIBRARY:
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+        names += module.__all__
+    return names
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__" or not name.startswith("__"):
+        if "__all__" not in globals():
+            globals()["__all__"] = _load_library()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -13,35 +13,59 @@ The default tolerance is 1e-9 and can be overridden with the
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .circuit import GateSpec, apply_full, apply_kgate, qft_matrix
-from .clifford import GENERATOR_SET_NAMES, named_generator_set
-from .linalg import max_abs
-from .serialize import (
-    FormatError,
-    format_float,
-    load_matrix,
-    save_matrix,
-    save_state,
-    load_state,
-    save_weyl_coefficients,
-)
-from .universality import (
-    MODES,
-    REAL_ANTIHERMITIAN,
-    closure,
-    prepare_generators,
-)
-from .verify import DEFAULT_DIMS, DEFAULT_SITES, VerifyReport, run_verification
-from .weyl import clock_matrix, shift_matrix, tau_matrices, weyl_decompose, weyl_reconstruct
+from .vocabulary import DEFAULT_DIMS, DEFAULT_SITES, GENERATOR_SET_NAMES, MODES, REAL_ANTIHERMITIAN
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .verify import VerifyReport
+
+# The library names the handlers read, by defining module.  They are bound
+# into this module on first need: ``main`` binds a command's names before it
+# dispatches, and a read of ``quditkit.cli.<name>`` binds that module's names.
+# A name already bound, such as a wrapper set on ``quditkit.cli``, stays.
+_LIBRARY_NAMES = {
+    "linalg": ("max_abs",),
+    "weyl": ("clock_matrix", "shift_matrix", "tau_matrices", "weyl_decompose", "weyl_reconstruct"),
+    "circuit": ("GateSpec", "apply_full", "apply_kgate", "qft_matrix"),
+    "serialize": ("FormatError", "format_float", "load_matrix", "load_state", "save_matrix",
+                  "save_state", "save_weyl_coefficients"),
+    "clifford": ("named_generator_set",),
+    "universality": ("closure", "prepare_generators"),
+    "verify": ("run_verification",),
+}
+_MODULE_OF = {name: module for module, names in _LIBRARY_NAMES.items() for name in names}
+# serialize imports circuit, linalg and weyl, so every command loads them
+_BASE_MODULES = ("linalg", "weyl", "circuit", "serialize")
+_COMMAND_MODULES = {
+    "generate": ("clifford",),
+    "verify": ("verify",),
+    "closure": ("clifford", "universality"),
+}
+
+
+def _bind(modules: Sequence[str]) -> None:
+    namespace = globals()
+    for module_name in modules:
+        module = importlib.import_module(f"{__package__}.{module_name}")
+        for name in _LIBRARY_NAMES[module_name]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((_MODULE_OF[name],))
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -158,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_dim_arg, default=None,
                    help="expected l (default: the file's dimension)")
     p.add_argument("--output", default=None, help="write the coefficient table here")
-    common(p)
+    common(p, tolerance=False)
+    p.add_argument("--tolerance", type=_positive_float, default=None,
+                   help="accepted and ignored: the report prints every coefficient "
+                        "above 1e-15 times the largest")
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("qft", help="emit the discrete Fourier matrix")
@@ -187,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind(_BASE_MODULES + _COMMAND_MODULES.get(args.command, ()))
     try:
         return args.handler(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

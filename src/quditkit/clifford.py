@@ -24,6 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .linalg import dagger, max_abs
+from .vocabulary import GENERATOR_SET_NAMES
 from .weyl import RootOfUnity, _WeylTerms, _check_order, _monomials, _weyl_adjoint, _weyl_product, tau_matrices
 
 __all__ = [
@@ -233,16 +234,6 @@ def qudit_universal_set(l: int, n: int) -> List[np.ndarray]:
     fam = generalized_generators(l, n)
     f = fam.matrices
     return [f[0]] + [f[k] @ dagger(f[k + 1]) for k in range(len(f) - 1)]
-
-
-GENERATOR_SET_NAMES = (
-    "clifford",
-    "generalized",
-    "canonical",
-    "biproducts",
-    "clifford-universal",
-    "qudit-universal",
-)
 
 
 def named_generator_set(name: str, l: int, n: int) -> _WeylTerms:

@@ -25,6 +25,7 @@ import numpy as np
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
 from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
+from .vocabulary import COMPLEX_TRACELESS, MODES, REAL_ANTIHERMITIAN
 from .weyl import (
     _WeylTerms,
     _code_digits,
@@ -50,10 +51,6 @@ __all__ = [
     "is_universal",
     "gate_from_generator",
 ]
-
-REAL_ANTIHERMITIAN = "real-antihermitian"
-COMPLEX_TRACELESS = "complex-traceless"
-MODES = (REAL_ANTIHERMITIAN, COMPLEX_TRACELESS)
 
 _ANTIHERMITIAN_TOL = 1e-11
 # Commutators screened per block; each block allocates a few _SCREEN_ROWS x d^2

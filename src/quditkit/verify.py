@@ -15,12 +15,9 @@ import numpy as np
 
 from . import circuit, clifford, weyl
 from .linalg import _check_tolerance, max_abs
+from .vocabulary import DEFAULT_DIMS, DEFAULT_SITES
 
 __all__ = ["VerifyCheck", "VerifyReport", "run_verification"]
-
-# Default grid: exercises both the qubit and qudit paths in a few seconds.
-DEFAULT_DIMS = (2, 3, 4, 5)
-DEFAULT_SITES = (1, 2)
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,20 @@ class TestDecompose:
         for line, prefix in zip(lines, expected):
             assert line.startswith("coefficient: " + prefix)
 
+    def test_tolerance_is_accepted_and_ignored(self, tmp_path, capsys):
+        source = tmp_path / "m.json"
+        # the 1e-6 coefficient is printed, although it is below --tolerance 1e-3
+        save_matrix(source, 1000 * clock_matrix(8) + 1e-6 * shift_matrix(8))
+        target = tmp_path / "c.json"
+        runs = []
+        for extra in ([], ["--tolerance", "1e-3"]):
+            code, out, _ = run(capsys, "decompose", "--input", str(source),
+                               "--output", str(target), *extra)
+            assert code == 0
+            runs.append((out, target.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "coefficient: a=1 b=0 re=9.9999999999999995e-07 " in runs[0][0]
+
     def test_dim_mismatch(self, tmp_path, capsys):
         source = tmp_path / "m.json"
         save_matrix(source, np.eye(3))
