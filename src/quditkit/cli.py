@@ -31,7 +31,10 @@ if TYPE_CHECKING:
 # The library names the handlers read, by defining module.  They are bound
 # into this module on first need: ``main`` binds a command's names before it
 # dispatches, and a read of ``quditkit.cli.<name>`` binds that module's names.
-# A name already bound, such as a wrapper set on ``quditkit.cli``, stays.
+# A name already bound, such as a wrapper set on ``quditkit.cli``, stays.  A
+# name is bound to the defining module's own function: a wrapper set on the
+# defining module (``functools.wraps`` keeps the original as ``__wrapped__``)
+# is left out, so the binding does not depend on when that wrapper was set.
 _LIBRARY_NAMES = {
     "linalg": ("max_abs",),
     "weyl": ("clock_matrix", "shift_matrix", "tau_matrices", "weyl_decompose", "weyl_reconstruct"),
@@ -45,10 +48,11 @@ _LIBRARY_NAMES = {
 _MODULE_OF = {name: module for module, names in _LIBRARY_NAMES.items() for name in names}
 # serialize imports circuit, linalg and weyl, so every command loads them
 _BASE_MODULES = ("linalg", "weyl", "circuit", "serialize")
+# ``closure`` binds ``clifford`` only for a named set, in ``cmd_closure``
 _COMMAND_MODULES = {
     "generate": ("clifford",),
     "verify": ("verify",),
-    "closure": ("clifford", "universality"),
+    "closure": ("universality",),
 }
 
 
@@ -57,7 +61,11 @@ def _bind(modules: Sequence[str]) -> None:
     for module_name in modules:
         module = importlib.import_module(f"{__package__}.{module_name}")
         for name in _LIBRARY_NAMES[module_name]:
-            namespace.setdefault(name, getattr(module, name))
+            if name not in namespace:
+                value = getattr(module, name)
+                while hasattr(value, "__wrapped__"):
+                    value = value.__wrapped__
+                namespace[name] = value
 
 
 def __getattr__(name: str):
@@ -344,6 +352,7 @@ def cmd_closure(args) -> int:
             )
         if args.set_name in GENERATOR_SET_NAMES:
             # a named set reaches closure as its Weyl terms (see prepare_generators)
+            _bind(("clifford",))
             matrices = named_generator_set(args.set_name, args.dim, args.sites)
         else:
             matrices = [m for _, m in _resolve_set(args.set_name, args.dim, args.sites, normalized=False)]

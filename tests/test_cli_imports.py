@@ -36,7 +36,7 @@ except SystemExit as exc:
 _PARSER = ("quditkit", "quditkit.cli", "quditkit.vocabulary")
 _BASE = _PARSER + ("numpy", "quditkit.circuit", "quditkit.linalg", "quditkit.serialize",
                    "quditkit.weyl")
-_CLOSURE = _BASE + ("quditkit.clifford", "quditkit.universality")
+_CLOSURE = _BASE + ("quditkit.universality",)
 _VERIFY = _BASE + ("quditkit.clifford", "quditkit.verify")
 
 
@@ -74,8 +74,10 @@ CASES = {
     "verify": (["verify", "--dim", "2", "--sites", "1"], {}, 0, _VERIFY, "overall: pass"),
     "verify-env-tolerance": (["verify", "--dim", "2", "--sites", "1"],
                              {"QUDITKIT_TOLERANCE": "abc"}, 2, _VERIFY, ""),
-    "closure-set": (["closure", "--set", "qudit-universal", "--dim", "3"], {}, 0, _CLOSURE,
-                    "achieved-dim: 8"),
+    "closure-set": (["closure", "--set", "qudit-universal", "--dim", "3"], {}, 0,
+                    _CLOSURE + ("quditkit.clifford",), "achieved-dim: 8"),
+    "closure-set-unnamed": (["closure", "--set", "weyl-pair", "--dim", "3"], {}, 0, _CLOSURE,
+                            "achieved-dim: 8"),
     "closure-input": (["closure", "--input", "pair"], {}, 0, _CLOSURE, "achieved-dim: 3"),
     "closure-env-tolerance": (["closure", "--input", "pair"], {"QUDITKIT_TOLERANCE": "abc"},
                               2, _CLOSURE, ""),
@@ -129,6 +131,10 @@ def test_import_loads_only_what_it_names(code):
 
 # ----------------------------------------------------------- traced benchmark
 
+# The traced benchmark's own tracer, installed before any command has run:
+# the defining modules' bindings are wrapped first and ``quditkit.cli``'s
+# after them, so each cli name is first read after its defining module's
+# function already carries a wrapper.
 _BINDINGS_PROBE = """
 import importlib.util, json, sys
 from pathlib import Path
@@ -141,20 +147,9 @@ spec.loader.exec_module(layers)
 
 from quditkit import cli
 
-names = [name for module, name, _, _ in layers.BINDINGS if module == "quditkit.cli"]
-called = []
-
-
-def wrap(name, original):
-    def wrapper(*args, **kwargs):
-        called.append(name)
-        return original(*args, **kwargs)
-    return wrapper
-
-
-# before any command has run, as the traced run installs them
-for name in names:
-    setattr(cli, name, wrap(name, getattr(cli, name)))
+tracer = layers.Tracer()
+tracer.instrument(layers.BINDINGS)
+tracer.current_pass = 1
 
 state = {"l": 3, "n": 2, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 8}
 Path("state.json").write_text(json.dumps(state))
@@ -170,16 +165,36 @@ session = [
 ]
 for argv in session:
     assert cli.main(argv) == 0, argv
-print(json.dumps({"names": names, "called": sorted(set(called))}))
+called = {tracer.names[i] for i in tracer.columns()["name_id"].tolist()}
+metrics = layers.pass_layer_metrics(tracer)[1]
+tracer.restore()
+cli_spans = [span for module, _, span, _ in layers.BINDINGS if module == "quditkit.cli"]
+print(json.dumps({"cli_spans": cli_spans, "called": sorted(called),
+                  "calls": {k: v for k, v in metrics.items() if k.endswith(".calls")}}))
 """
 
+# one count per call, the same whether the names were bound before the
+# tracer or after it: two closures, the generate and closure --set named
+# sets, weyl_decompose once in decompose and three times in verify, four
+# generator files read back
+SESSION_CALLS = {
+    "cli.main.calls": 7,
+    "universality.closure.calls": 2,
+    "clifford.named_generator_set.calls": 2,
+    "weyl.weyl_decompose.calls": 4,
+    "circuit.apply_kgate.calls": 1,
+    "verify.run_verification.calls": 1,
+    "serialize.load.calls": 7,
+    "serialize.save.calls": 7,
+}
 
-def test_traced_cli_bindings_resolve_and_are_called(tmp_path):
+
+def test_traced_cli_bindings_resolve_and_count_each_call_once(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _BINDINGS_PROBE, str(_ROOT / "perfbench")],
         cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["names"]
     # every wrapped cli binding is the function its command called
-    assert seen["called"] == sorted(seen["names"])
+    assert set(seen["cli_spans"]) <= set(seen["called"])
+    assert {k: seen["calls"][k] for k in SESSION_CALLS} == SESSION_CALLS
