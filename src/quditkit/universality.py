@@ -27,6 +27,7 @@ from .linalg import hs_norm  # noqa: F401
 from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
 from .vocabulary import COMPLEX_TRACELESS, MODES, REAL_ANTIHERMITIAN
 from .weyl import (
+    _BuiltOnce,
     _WeylTerms,
     _code_digits,
     _decompose,
@@ -97,8 +98,8 @@ class GeneratorSet:
     finite entries, and in real mode ``max |m + m*| <= 1e-11``; the first failure
     raises :class:`ValueError`.  Prepared sets skip the checks in both modes.
     ``matrices`` is a tuple, except in a set prepared from Weyl terms, where
-    it is a read-only sequence that prepares them on first access (see
-    :func:`prepare_generators`).
+    it is a sequence whose matrices are prepared once, on the first access to
+    any of them, and are read-only (see :func:`prepare_generators`).
     """
 
     name: str
@@ -191,14 +192,19 @@ def prepare_generators(
     A named set (:func:`~quditkit.clifford.named_generator_set`) whose l is
     the smallest base of d = l^n gives a term-backed set: no matrix is built
     here, :func:`closure` reads the inputs' Weyl terms, and ``matrices`` are
-    prepared as above on the first access to any of them.  A set whose l
-    is a perfect power (4, 8, 9, ...) is prepared from its matrices, since
-    the support search tries the smallest base first and may decide it
-    there: ``[V, V^3]`` of the l=4 clock V reaches the l=2 codes [2, 3].
+    prepared as above, once, on the first access to any of them.  They are
+    read-only, like the named set's own, so the matrices that :func:`closure`
+    falls back to when the term path declines cannot disagree with the
+    terms.  A set whose l is a perfect power (4, 8, 9, ...) is prepared from
+    its matrices, since the support search tries the smallest base first and
+    may decide it there: ``[V, V^3]`` of the l=4 clock V reaches the l=2
+    codes [2, 3].
     """
     if isinstance(matrices, _WeylTerms) and _factorizations(d := matrices.l**matrices.n)[0][0] == matrices.l:
         _check_mode(mode)
-        return GeneratorSet._prepared(name, d, _PreparedOnRequest(matrices, mode), mode, terms=matrices)
+        terms, size = matrices, len(matrices) * (1 + (mode == REAL_ANTIHERMITIAN))
+        prepared = _BuiltOnce(size, lambda: prepare_generators(list(terms), mode).matrices)
+        return GeneratorSet._prepared(name, d, prepared, mode, terms=terms)
     arrays = _square_inputs(matrices)
     k, d = len(arrays), arrays[0].shape[0]
     real = mode == REAL_ANTIHERMITIAN
@@ -227,25 +233,6 @@ def prepare_generators(
     _check_finite(out)
     _check_mode(mode)
     return GeneratorSet._prepared(name, d, tuple(out.reshape(-1, d, d)), mode)
-
-
-class _PreparedOnRequest(Sequence):
-    """The matrices :func:`prepare_generators` returns for the matrices of ``inputs``,
-    prepared on the first access to any of them."""
-
-    def __init__(self, inputs: _WeylTerms, mode: str):
-        self._inputs, self._mode = inputs, mode
-        self._size = len(inputs) * (1 + (mode == REAL_ANTIHERMITIAN))
-
-    @functools.cached_property
-    def _matrices(self) -> Tuple[np.ndarray, ...]:
-        return prepare_generators(list(self._inputs), self._mode).matrices
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        return self._matrices[index]
 
 
 def _check_finite(stack: np.ndarray) -> None:
@@ -759,7 +746,8 @@ class _MonomialBasis(Sequence):
     ``codes`` (read-only) are the reached monomials in the order reached.
     Element i is ``a W + b W*`` for one monomial ``W``, written into a new
     (d, d) array each time it is indexed; a slice is a sequence of the same
-    kind.
+    kind.  It does not build all its matrices at once, as ``weyl._BuiltOnce``
+    does, since the result must hold O(``achieved_dim``) memory, not the basis.
     """
 
     def __init__(self, l: int, n: int, codes: np.ndarray, mode: str):

@@ -318,21 +318,14 @@ def _weyl_adjoint(l: int, n: int, terms: Tuple[np.ndarray, np.ndarray]) -> Tuple
     return phase % (2 * l), _negation(l, x)[1]
 
 
-class _WeylTerms(Sequence):
-    """A read-only sequence of (d, d) matrices ``nu^e W(x)``, each known by its term.
-
-    ``exponents[i]`` (mod 2l) and ``codes[i]`` (see the module notes) name
-    element i; both are read-only.  The matrices come from ``build()``, called
-    once, on the first access to any of them, and are read-only too, so the
-    matrices and the terms cannot come to disagree.
+class _BuiltOnce(Sequence):
+    """``size`` (d, d) matrices that one ``build()`` call makes on the first access to
+    any of them, read-only from then on; ``len`` builds none.  Indexes and slices
+    act as on a tuple of the matrices.
     """
 
-    def __init__(self, l: int, n: int, exponents, codes, build: Callable[[], Sequence]):
-        self.l, self.n = l, n
-        self.exponents, self.codes = (np.array(a, dtype=np.intp) for a in (exponents, codes))
-        for a in (self.exponents, self.codes):
-            a.setflags(write=False)
-        self._build = build
+    def __init__(self, size: int, build: Callable[[], Sequence]):
+        self._size, self._build = size, build
 
     @cached_property
     def _matrices(self) -> Tuple[np.ndarray, ...]:
@@ -342,10 +335,26 @@ class _WeylTerms(Sequence):
         return matrices
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return self._size
 
     def __getitem__(self, index):
         return self._matrices[index]
+
+
+class _WeylTerms(_BuiltOnce):
+    """The matrices ``nu^e W(x)``, built once by ``build()`` and read-only, each known by its term.
+
+    ``exponents[i]`` (mod 2l) and ``codes[i]`` (see the module notes) name
+    element i; both are read-only, like the matrices, so the matrices and the
+    terms cannot come to disagree.
+    """
+
+    def __init__(self, l: int, n: int, exponents, codes, build: Callable[[], Sequence]):
+        self.l, self.n = l, n
+        self.exponents, self.codes = (np.array(a, dtype=np.intp) for a in (exponents, codes))
+        for a in (self.exponents, self.codes):
+            a.setflags(write=False)
+        super().__init__(len(self.codes), build)
 
     def __repr__(self) -> str:
         return f"_WeylTerms(l={self.l}, n={self.n}, len={len(self)})"

@@ -95,6 +95,15 @@ def test_terms_and_matrices_are_read_only():
         with pytest.raises(ValueError):
             array[0] = 0
     assert all(a is b for a, b in zip(named[1:3], (named[1], named[2]), strict=True))
+    # the prepared matrices of a term-backed set too: built once, on first access
+    for mode in MODES:
+        prepared = prepare_generators(named, mode).matrices
+        assert len(prepared) == 4 * (1 + (mode == REAL_ANTIHERMITIAN))
+        assert "_matrices" not in vars(prepared)
+        assert all(a is b for a, b in zip(prepared, prepared[:], strict=True))
+        for array in prepared:
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
 
 
 @pytest.mark.parametrize("name,l,n,constructor", [
