@@ -1,7 +1,8 @@
 """Generator families over arrays of l-level sites.
 
-Three constructions share one tensor layout (identity factors leftmost, the
-active factor walking left as the generator index grows):
+Each generator is a phase times a Weyl monomial, ``nu^e W(x)``, built from
+its term alone.  The families share one tensor layout (identity factors
+leftmost, the active factor walking left as the generator index grows):
 
 * ``clifford_generators``: 2n anticommuting involutions on n qubits, the
   sigma1/sigma2 body with a sigma3 tail.
@@ -12,20 +13,20 @@ active factor walking left as the generator index grows):
   exponents form the block-diagonal symplectic pattern.
 
 ``commutation_matrix`` recovers the integer exponent table c with
-``g_i g_j = zeta^(c_ij) g_j g_i`` from any family.
+``g_i g_j = zeta^(c_ij) g_j g_i`` from any family; it, ``biproducts`` and
+``universal_augmentation`` multiply matrices, since they accept hand-built ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import dagger, max_abs
+from .linalg import max_abs
 from .vocabulary import GENERATOR_SET_NAMES
-from .weyl import RootOfUnity, _WeylTerms, _check_order, _monomials, _weyl_adjoint, _weyl_product, tau_matrices
+from .weyl import RootOfUnity, _WeylTerms, _check_order, _term_matrices, _weyl_adjoint, _weyl_product, tau_matrices
 
 __all__ = [
     "pauli",
@@ -61,17 +62,6 @@ def pauli(i: int) -> np.ndarray:
     if not isinstance(i, (int, np.integer)) or not 0 <= i <= 3:
         raise ValueError(f"pauli index must be 0..3, got {i!r}")
     return _PAULI[i].copy()
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two matrices as the one broadcast product it makes,
-    bit for bit, without its per-call overhead."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
-
-
-def _kron_chain(factors) -> np.ndarray:
-    return reduce(_kron, factors[1:], factors[0].copy())  # one factor: a copy, not the factor
 
 
 @dataclass(frozen=True)
@@ -121,28 +111,17 @@ def clifford_generators(n: int) -> GeneratorFamily:
     Element 2k (2k+1) is identity on the leading n-k-1 sites, sigma1 (sigma2)
     on the next, and sigma3 on the trailing k sites.
     """
-    return _walking_family(2, n, "clifford", _PAULI)
+    return _family("clifford", 2, n)
 
 
 def generalized_generators(l: int, n: int) -> GeneratorFamily:
     """Order-l analogue of the Clifford family on n l-level sites.
 
-    Same tensor pattern with the tau triple in place of the Pauli matrices;
-    earlier elements zeta-commute past later ones and every element has
-    order l.  At l=2 its matrices are those of :func:`clifford_generators` bit for bit.
+    Same tensor pattern with the tau triple in place of the Pauli matrices,
+    each element built from its term; earlier elements zeta-commute past later
+    ones and every element has order l.  At l=2 it is the Clifford family bit for bit.
     """
-    return _walking_family(l, n, "generalized", (np.eye(l, dtype=complex),) + tau_matrices(l))
-
-
-def _walking_family(l: int, n: int, kind: str, factors) -> GeneratorFamily:
-    """Element 2k (2k+1): ``identity`` on n-k-1 sites, ``body1`` (``body2``), ``tail`` on k."""
-    identity, body1, body2, tail = factors
-    mats = tuple(
-        _kron_chain([identity] * (n - k - 1) + [body] + [tail] * k)
-        for k in range(n)
-        for body in (body1, body2)
-    )
-    return GeneratorFamily(l, n, kind, mats)
+    return _family("generalized", l, n)
 
 
 def canonical_generators(l: int, n: int) -> GeneratorFamily:
@@ -152,10 +131,14 @@ def canonical_generators(l: int, n: int) -> GeneratorFamily:
     different sites commute, so the commutation matrix is block-diagonal
     with 2x2 symplectic blocks.
     """
-    u, v = _monomials(_check_order(l), 1, [l, 1])  # shift and clock
-    eyes = [np.eye(l**k, dtype=complex) for k in range(n)]
-    mats = tuple(_kron_chain([eyes[site], m, eyes[n - site - 1]]) for site in range(n) for m in (u, v))
-    return GeneratorFamily(l, n, "canonical", mats)
+    return _family("canonical", l, n)
+
+
+def _family(kind: str, l: int, n: int) -> GeneratorFamily:
+    """The family ``kind`` built from its terms; for n < 1 :class:`GeneratorFamily` raises."""
+    _check_order(l)
+    mats = tuple(_term_matrices(l, n, *_family_terms(kind, l, n))) if n >= 1 else ()
+    return GeneratorFamily(l, n, kind, mats)
 
 
 def commutation_matrix(fam: GeneratorFamily) -> np.ndarray:
@@ -229,11 +212,10 @@ def qudit_universal_set(l: int, n: int) -> List[np.ndarray]:
     generates the full traceless matrix algebra, of dimension l^(2n) - 1,
     under sums and commutators.  For l = 2 it spans only so(2n + 1), of
     dimension n(2n + 1): 3, 10, 21, 36 for n = 1..4, which is all of su(2)
-    at n = 1 and falls short of 4^n - 1 beyond.
+    at n = 1 and falls short of 4^n - 1 beyond.  Built from the terms, writable.
     """
-    fam = generalized_generators(l, n)
-    f = fam.matrices
-    return [f[0]] + [f[k] @ dagger(f[k + 1]) for k in range(len(f) - 1)]
+    l, n = _check_set("qudit-universal", l, n)
+    return list(_term_matrices(l, n, *_named_terms("qudit-universal", l, n)))
 
 
 def named_generator_set(name: str, l: int, n: int) -> _WeylTerms:
@@ -245,22 +227,20 @@ def named_generator_set(name: str, l: int, n: int) -> _WeylTerms:
     :mod:`quditkit.weyl`), found by integer arithmetic: the one-site factors
     are tau1 = W(1, 0), tau2 = nu^(l-1) W(1, 1), tau3 = W(0, 1), the shift and
     the clock; products follow ``W(a, b) W(c, d) = zeta^(-b.c) W(a + c, b + d)``;
-    an adjoint is ``nu^(-e - 2 a.b) W(-x)``.  The matrices are built on the
-    first access to any of them, by the constructors named below, so their
-    bytes are those of a list of those constructors' matrices; they are
-    read-only.  :func:`~quditkit.universality.prepare_generators` reads the
-    terms and builds no matrix when l is the smallest base of l^n (see there).
+    an adjoint is ``nu^(-e - 2 a.b) W(-x)``.  The matrices are built from the
+    terms on the first access to any of them, the family sets' through their
+    constructors, so they are the terms bit for bit; they are read-only.
+    :func:`~quditkit.universality.prepare_generators` reads the terms and
+    builds no matrix when l is the smallest base of l^n (see there).
     """
     l, n = _check_set(name, l, n)
+    terms = _named_terms(name, l, n)
     build = {
         "clifford": lambda: clifford_generators(n).matrices,
         "generalized": lambda: generalized_generators(l, n).matrices,
         "canonical": lambda: canonical_generators(l, n).matrices,
-        "biproducts": lambda: biproducts(clifford_generators(n)),
-        "clifford-universal": lambda: universal_augmentation(clifford_generators(n)),
-        "qudit-universal": lambda: qudit_universal_set(l, n),
-    }[name]
-    return _WeylTerms(l, n, *_named_terms(name, l, n), build)
+    }.get(name, lambda: _term_matrices(l, n, *terms))
+    return _WeylTerms(l, n, *terms, build)
 
 
 def _named_terms(name: str, l: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -310,7 +290,7 @@ _QUBIT_SETS = ("clifford", "biproducts", "clifford-universal")
 
 
 def _family_terms(kind: str, l: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The terms ``(e, codes)`` of the family ``kind``, laid out as its builder lays out its factors."""
+    """The terms ``(e, codes)`` of the family ``kind``, one (e, a, b) per site summed."""
     if kind == "canonical":
         identity, shift, clock = (0, 0, 0), (0, 1, 0), (0, 0, 1)
         sites = [[identity] * site + [m] + [identity] * (n - site - 1) for site in range(n) for m in (shift, clock)]

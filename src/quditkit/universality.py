@@ -186,8 +186,8 @@ def prepare_generators(
     matrices it returns and one block of temporaries.  The outputs are
     square and finite, and real-mode ones exactly anti-Hermitian, so in
     either mode the set skips the checks a hand-built :class:`GeneratorSet`
-    gets.  A non-finite input, or an overflow to a non-finite entry, raises
-    ``ValueError``.
+    gets.  An unknown ``mode`` raises ``ValueError`` before any input is
+    read; so does a non-finite input, or an overflow to a non-finite entry.
 
     A named set (:func:`~quditkit.clifford.named_generator_set`) whose l is
     the smallest base of d = l^n gives a term-backed set: no matrix is built
@@ -200,8 +200,8 @@ def prepare_generators(
     may decide it there: ``[V, V^3]`` of the l=4 clock V reaches the l=2
     codes [2, 3].
     """
+    _check_mode(mode)
     if isinstance(matrices, _WeylTerms) and _factorizations(d := matrices.l**matrices.n)[0][0] == matrices.l:
-        _check_mode(mode)
         terms, size = matrices, len(matrices) * (1 + (mode == REAL_ANTIHERMITIAN))
         prepared = _BuiltOnce(size, lambda: prepare_generators(list(terms), mode).matrices)
         return GeneratorSet._prepared(name, d, prepared, mode, terms=terms)
@@ -231,7 +231,6 @@ def prepare_generators(
                 np.subtract(m, block[:, 1], out=block[:, 1])
     # i(M + M*) and M - M* are exactly anti-Hermitian; only a non-finite entry can fail the checks
     _check_finite(out)
-    _check_mode(mode)
     return GeneratorSet._prepared(name, d, tuple(out.reshape(-1, d, d)), mode)
 
 

@@ -251,28 +251,32 @@ def _wrapped_diagonals(l: int, n: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows))
 
 
-def _monomial_entries(l: int, n: int, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nonzero entries of the monomials ``W(x)`` named by ``codes`` (see the module notes).
+def _monomial_entries(l: int, n: int, codes, exponents=0) -> Tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of the terms ``nu^e W(x)`` of ``exponents`` and ``codes`` (see the module notes).
 
-    Returns two (k, d) arrays: row i of the monomial of ``codes[k]`` holds
-    ``values[k, i]`` in column ``cols[k, i]`` and is zero elsewhere.  For
-    x = (a, b) that column j has the digits ``i + a mod l`` and the value is
-    ``zeta^(b . j)``.
+    Returns two (k, d) arrays: row i of term k holds ``values[k, i]`` in
+    column ``cols[k, i]`` and is zero elsewhere.  For x = (a, b) that column
+    j has the digits ``i + a mod l`` and the value is ``nu^(e + 2 b.j)``, one table read.
     """
     digits = _digits(l, n)
     shifts, clocks = np.divmod(np.asarray(codes, dtype=np.intp), l**n)
     col_digits = (digits[None, :, :] + digits[shifts][:, None, :]) % l
     cols = col_digits @ (l ** np.arange(n - 1, -1, -1))
-    powers = np.einsum("kin,kn->ki", col_digits, digits[clocks]) % l
-    return cols, _nu_powers(l)[2 * powers]
+    powers = np.asarray(exponents, dtype=np.intp)[..., None] + 2 * np.einsum("kin,kn->ki", col_digits, digits[clocks])
+    return cols, _nu_powers(l)[powers % (2 * l)]
 
 
-def _monomials(l: int, n: int, codes) -> np.ndarray:
-    """(k, d, d) stack of the monomials named by ``codes``, scattered from :func:`_monomial_entries`."""
-    cols, values = _monomial_entries(l, n, codes)
+def _term_matrices(l: int, n: int, exponents, codes) -> np.ndarray:
+    """(k, d, d) stack of the terms ``nu^e W(x)``: the package's one builder of such matrices."""
+    cols, values = _monomial_entries(l, n, codes, exponents)
     stack = np.zeros((len(cols), l**n, l**n), dtype=complex)
     stack[np.arange(len(cols))[:, None], np.arange(l**n), cols] = values
     return stack
+
+
+def _monomials(l: int, n: int, codes) -> np.ndarray:
+    """(k, d, d) stack of the monomials ``W(x)`` named by ``codes``."""
+    return _term_matrices(l, n, 0, codes)
 
 
 def _digits(l: int, n: int) -> np.ndarray:
@@ -346,7 +350,7 @@ class _WeylTerms(_BuiltOnce):
 
     ``exponents[i]`` (mod 2l) and ``codes[i]`` (see the module notes) name
     element i; both are read-only, like the matrices, so the matrices and the
-    terms cannot come to disagree.
+    terms cannot come to disagree; a named set's are :func:`_term_matrices` of its terms.
     """
 
     def __init__(self, l: int, n: int, exponents, codes, build: Callable[[], Sequence]):
@@ -386,16 +390,13 @@ def rotated_basis_element(l: int, j: int, k: int) -> np.ndarray:
 def tau_matrices(l: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Qudit analogues of the three Pauli matrices.
 
-    Returns ``(shift, nu^(l-1) * shift @ clock, clock)``.  The middle element
-    carries the phase ``nu^(l-1)`` so that all three have order exactly l,
-    and each earlier element zeta-commutes with each later one; its entry in
-    column j is ``nu^(l-1+2j)``.  At l=2 the triple is the Pauli matrices bit for bit.
+    Returns ``(shift, nu^(l-1) * shift @ clock, clock)``, built from their terms.
+    The middle element carries the phase ``nu^(l-1)`` so that all three have
+    order exactly l, and each earlier element zeta-commutes with each later
+    one.  At l=2 the triple is the Pauli matrices bit for bit.
     """
     l = _check_order(l)
-    taus = _monomials(l, 1, [l, l + 1, 1])  # W(1, 0), W(1, 1), W(0, 1)
-    cols = (np.arange(l) + 1) % l
-    taus[1, cols - 1, cols] = _nu_powers(l)[(l - 1 + 2 * cols) % (2 * l)]
-    return tuple(taus)
+    return tuple(_term_matrices(l, 1, [0, l - 1, 0], [l, l + 1, 1]))
 
 
 def fermat_power_residual(l: int, a: complex, b: complex) -> float:

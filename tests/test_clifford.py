@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate_digests import DIGESTS_PATH, digest_case, generate_cases
+from weyl_reference import reference_term
 
 from quditkit import clifford as clifford_module
 from quditkit import (
@@ -393,16 +394,21 @@ class TestRegistry:
             named_generator_set("biproducts", 3, 2)
 
 
-class TestBuildersMatchKron:
-    """The builders' broadcast products are the products ``np.kron`` makes, byte for byte."""
+class TestBuildersMatchTheirTerms:
+    """Each family element is its term built entry by entry, byte for byte, and
+    the ``np.kron`` chain of its one-site factors in value: exactly at l=2 and
+    within 4e-15 beyond, where a product of table reads rounds and one read does not."""
 
     @staticmethod
-    def assert_bytes(family, factor_lists):
-        ref = [reduce(np.kron, factors) for factors in factor_lists]
-        assert len(family.matrices) == len(ref)
-        for got, want in zip(family.matrices, ref):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()  # signed zeros too
+    def assert_matches(l, family, factor_lists):
+        factor_lists = list(factor_lists)
+        assert len(family.matrices) == len(factor_lists)
+        for got, factors in zip(family.matrices, factor_lists):
+            matrices, terms = zip(*factors)  # one-site matrices and their terms (e, a, b)
+            e, a, b = zip(*terms)
+            assert got.tobytes() == reference_term(l, sum(e), a, b).tobytes()
+            error = np.abs(got - reduce(np.kron, matrices)).max()
+            assert error == 0 if l == 2 else error <= 4e-15, error
 
     @staticmethod
     def walking(n, eye, first, second, tail):
@@ -410,23 +416,29 @@ class TestBuildersMatchKron:
             for active in (first, second):
                 yield [eye] * (n - k - 1) + [active] + [tail] * k
 
+    @staticmethod
+    def tau_factors(l, matrices):
+        """The identity and the tau triple as (matrix, (e, a, b)) pairs."""
+        return list(zip(matrices, [(0, 0, 0), (0, 1, 0), (l - 1, 1, 1), (0, 0, 1)]))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_clifford(self, n):
-        p = [pauli(i) for i in range(4)]
-        self.assert_bytes(clifford_generators(n), self.walking(n, p[0], p[1], p[2], p[3]))
+        p = self.tau_factors(2, [pauli(i) for i in range(4)])
+        self.assert_matches(2, clifford_generators(n), self.walking(n, *p))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("l", range(2, 8))
     def test_generalized(self, l, n):
-        t1, t2, t3 = tau_matrices(l)
-        self.assert_bytes(generalized_generators(l, n), self.walking(n, np.eye(l, dtype=complex), t1, t2, t3))
+        t = self.tau_factors(l, (np.eye(l, dtype=complex),) + tau_matrices(l))
+        self.assert_matches(l, generalized_generators(l, n), self.walking(n, *t))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("l", range(2, 8))
     def test_canonical(self, l, n):
-        sites = [(np.eye(l**site, dtype=complex), np.eye(l ** (n - site - 1), dtype=complex)) for site in range(n)]
-        self.assert_bytes(canonical_generators(l, n), (
-            [left, m, right] for left, right in sites for m in (shift_matrix(l), clock_matrix(l))
+        eye = (np.eye(l, dtype=complex), (0, 0, 0))
+        pair = [(shift_matrix(l), (0, 1, 0)), (clock_matrix(l), (0, 0, 1))]
+        self.assert_matches(l, canonical_generators(l, n), (
+            [eye] * site + [m] + [eye] * (n - site - 1) for site in range(n) for m in pair
         ))
 
 

@@ -173,6 +173,14 @@ class TestClosureProperties:
         with pytest.raises(ValueError, match="mode"):
             GeneratorSet("bad", 2, (1j * pauli(1),), "spooky")
 
+    def test_unknown_mode_is_checked_before_the_inputs(self):
+        # before a non-finite entry or an empty list, as for Weyl terms and GeneratorSet
+        bad = np.eye(2, dtype=complex)
+        bad[0, 0] = np.nan
+        for inputs in ([bad], [], named_generator_set("clifford", 2, 1)):
+            with pytest.raises(ValueError, match="unknown mode 'spooky'"):
+                prepare_generators(inputs, "spooky")
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # Unchecked, NaN reported 4 of 8 and inf 0 of 8 for this su(3) set.

@@ -23,19 +23,15 @@ from quditkit import (
     universal_augmentation,
 )
 from quditkit.universality import _factorizations, _kept_seeds, _monomial_support, _term_support
-from quditkit.weyl import _WeylTerms, _monomials, _nu_powers, _weyl_adjoint, _weyl_product
+from quditkit.weyl import _WeylTerms, _weyl_adjoint, _weyl_product
 from test_monomial_fast_paths import NAMED_GRID_81
+from weyl_reference import reference_terms
 
 SITES = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1), (6, 1), (7, 2)]
 TOLERANCES = [1e-11, 1e-9, 1e-7, 0.75]
 # machine epsilon, where the matrices' rounding dust reaches components
 # above tol, and 1/sqrt(2), a real-mode unit seed's component along W(x)
 EDGE_TOLERANCES = [2.220446049250313e-16, 1e-13, 0.7071067811865476]
-
-
-def _matrices(l, n, terms):
-    e, codes = terms
-    return _nu_powers(l)[e][:, None, None] * _monomials(l, n, codes)
 
 
 def _random_terms(rng, l, n, k):
@@ -49,16 +45,16 @@ def _random_terms(rng, l, n, k):
 def test_products_follow_the_matrices(l, n):
     rng = np.random.default_rng(10 * l + n)
     left, right = _random_terms(rng, l, n, 40), _random_terms(rng, l, n, 40)
-    want = _matrices(l, n, left) @ _matrices(l, n, right)
-    assert np.abs(_matrices(l, n, _weyl_product(l, n, left, right)) - want).max() <= 1e-13
+    want = reference_terms(l, n, *left) @ reference_terms(l, n, *right)
+    assert np.abs(reference_terms(l, n, *_weyl_product(l, n, left, right)) - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("l,n", SITES)
 def test_adjoints_follow_the_matrices(l, n):
     rng = np.random.default_rng(20 * l + n)
     terms = _random_terms(rng, l, n, 40)
-    want = _matrices(l, n, terms).conj().transpose(0, 2, 1)
-    assert np.abs(_matrices(l, n, _weyl_adjoint(l, n, terms)) - want).max() <= 1e-13
+    want = reference_terms(l, n, *terms).conj().transpose(0, 2, 1)
+    assert np.abs(reference_terms(l, n, *_weyl_adjoint(l, n, terms)) - want).max() <= 1e-13
 
 
 # ------------------------------------------------------------ named-set terms
@@ -66,14 +62,13 @@ def test_adjoints_follow_the_matrices(l, n):
 
 @pytest.mark.parametrize("name", GENERATOR_SET_NAMES)
 def test_named_matrices_are_their_terms(name):
-    # A term reads nu^e and zeta^(b.j) from the table, where the constructors
-    # read nu^(l-1+2j) once or multiply several entries: 2.7e-15 at most, on
-    # qudit-universal l=28, since a read at an angle near 2 pi is off by up
-    # to 7e-16.  At l=2 every entry is exact.
+    # Each entry is one table read of nu^(e + 2 b.j), as the reference reads
+    # it; a product of reads would be off by up to 2.7e-15 (qudit-universal l=28).
     for _, l, n in (case for case in NAMED_GRID_81 if case[0] == name):
         named = named_generator_set(name, l, n)
-        error = np.abs(np.stack(named) - _matrices(l, n, (named.exponents, named.codes))).max()
-        assert error == 0 if l == 2 else error <= 4e-15, (l, n, error)
+        got, want = np.stack(named), reference_terms(l, n, named.exponents, named.codes)
+        error = np.abs(got - want).max()
+        assert error == 0 and got.tobytes() == want.tobytes(), (l, n, error)
 
 
 @pytest.mark.parametrize("name,l,n,build", [
@@ -86,7 +81,11 @@ def test_named_matrices_keep_the_constructors_bytes(name, l, n, build):
     named = named_generator_set(name, l, n)
     want = build()
     assert len(named) == len(want)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(named, want))
+    if name == "clifford-universal":
+        # built from the terms, not by the dense products, which leave -0 where the terms give +0
+        assert all(np.array_equal(a, b) for a, b in zip(named, want))
+    else:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(named, want))
 
 
 def test_terms_and_matrices_are_read_only():

@@ -13,16 +13,23 @@ decomposes the l^2 commutators of one left monomial as one (l^2, l, l)
 block, O(l^7) in all.  Both build the monomials through
 ``quditkit.weyl.weyl_element``, which scatters them with
 ``quditkit.weyl._monomials`` at call time, as the check does, so a test
-that replaces that changes them too.  Nothing in the package imports this module.
+that replaces that changes them too.
+
+``reference_term`` and ``reference_terms`` build phases times monomials,
+``nu^e W(x)``, one entry at a time, each entry one read of
+:meth:`quditkit.RootOfUnity.nu_power`; tests pin the package's term-built
+matrices to them byte for byte.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from quditkit import weyl
 from quditkit.linalg import as_matrix, hs_inner, max_abs
-from quditkit.weyl import _check_order, weyl_commutator_coefficient, weyl_decompose, weyl_element
+from quditkit.weyl import RootOfUnity, _check_order, weyl_commutator_coefficient, weyl_decompose, weyl_element
 
 
 def reference_decompose(m, l: int) -> np.ndarray:
@@ -88,3 +95,38 @@ def blocked_closed_form_residual(l: int) -> float:
             tables[q, ri * l + rj] -= coeff
         closed_form = max(closed_form, max_abs(tables))
     return closed_form
+
+
+def _number(digits, l: int) -> int:
+    """The integer whose base-l digits, most significant first, are ``digits``."""
+    value = 0
+    for digit in digits:
+        value = value * l + digit
+    return value
+
+
+def _digits(value: int, l: int, n: int) -> list:
+    return [value // l ** (n - 1 - k) % l for k in range(n)]
+
+
+def reference_term(l: int, e: int, a, b) -> np.ndarray:
+    """``nu^e W(a, b)`` on ``len(a)`` sites, built one entry at a time.
+
+    The row with digits i holds ``nu^(e + 2 b.j)`` in the column with digits
+    ``j = i + a mod l``, site by site, and is zero elsewhere.
+    """
+    n, nu = len(a), RootOfUnity(l).nu_power
+    out = np.zeros((l**n, l**n), dtype=complex)
+    for i in itertools.product(range(l), repeat=n):
+        j = [(x + y) % l for x, y in zip(i, a)]
+        out[_number(i, l), _number(j, l)] = nu(e + 2 * sum(int(x) * y for x, y in zip(b, j)))
+    return out
+
+
+def reference_terms(l: int, n: int, exponents, codes) -> np.ndarray:
+    """The (k, d, d) stack of the terms ``(exponents[k], codes[k])``, each by :func:`reference_term`."""
+    d = l**n
+    return np.stack([
+        reference_term(l, int(e), _digits(int(code) // d, l, n), _digits(int(code) % d, l, n))
+        for e, code in zip(exponents, codes)
+    ])
