@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-universal", action="store_true",
                    help="exit 1 unless the set is universal")
     p.add_argument("--max-dim", type=int, default=_DEFAULT_MAX_DIM,
-                   help=f"refuse l^n above this cap (default {_DEFAULT_MAX_DIM})")
+                   help=f"refuse matrix dimensions above this cap (default {_DEFAULT_MAX_DIM})")
     p.add_argument("--output", default=None, help="also write the report to this path")
     p.add_argument("--dump-basis", default=None, metavar="DIR",
                    help="write the closure basis as matrix files")
@@ -337,10 +337,12 @@ def cmd_closure(args) -> int:
     if args.set_name == "qft":
         raise ValueError("closure needs a generator set, not a single gate")
     if args.set_name is not None:
-        dim = _power_within(args.dim, args.sites, args.max_dim)
+        # weyl-pair and tau act on one site whatever --sites says: their matrices are l x l
+        sites = 1 if args.set_name in _EXTRA_SETS else args.sites
+        dim = _power_within(args.dim, sites, args.max_dim)
         if dim is None:
             raise ValueError(
-                f"l^n = {_power_text(args.dim, args.sites)} exceeds the cap {args.max_dim}; "
+                f"l^n = {_power_text(args.dim, sites)} exceeds the cap {args.max_dim}; "
                 "pass --max-dim to run larger closures"
             )
         if args.set_name == "qudit-universal" and args.dim == 2:
@@ -350,12 +352,13 @@ def cmd_closure(args) -> int:
                 f"of dimension {n * (2 * n + 1)}; this is all of su(2^n) only at n=1",
                 file=sys.stderr,
             )
-        if args.set_name in GENERATOR_SET_NAMES:
-            # a named set reaches closure as its Weyl terms (see prepare_generators)
+        if args.set_name in _EXTRA_SETS:
+            matrices = [m for _, m in _resolve_set(args.set_name, args.dim, sites, normalized=False)]
+        else:
+            # a named set reaches closure as its Weyl terms (see prepare_generators);
+            # binding here also makes an unknown name the usage error it raises
             _bind(("clifford",))
             matrices = named_generator_set(args.set_name, args.dim, args.sites)
-        else:
-            matrices = [m for _, m in _resolve_set(args.set_name, args.dim, args.sites, normalized=False)]
         set_label = args.set_name
     else:
         matrices = _load_matrix_set(args.input)

@@ -227,20 +227,13 @@ def named_generator_set(name: str, l: int, n: int) -> _WeylTerms:
     :mod:`quditkit.weyl`), found by integer arithmetic: the one-site factors
     are tau1 = W(1, 0), tau2 = nu^(l-1) W(1, 1), tau3 = W(0, 1), the shift and
     the clock; products follow ``W(a, b) W(c, d) = zeta^(-b.c) W(a + c, b + d)``;
-    an adjoint is ``nu^(-e - 2 a.b) W(-x)``.  The matrices are built from the
-    terms on the first access to any of them, the family sets' through their
-    constructors, so they are the terms bit for bit; they are read-only.
-    :func:`~quditkit.universality.prepare_generators` reads the terms and
-    builds no matrix when l is the smallest base of l^n (see there).
+    an adjoint is ``nu^(-e - 2 a.b) W(-x)``.  The matrices, read-only, are
+    :func:`~quditkit.weyl._term_matrices` of the terms, built on the first
+    access to any of them; no family constructor runs.  ``prepare_generators``
+    keeps the terms, and ``closure`` decides from them alone when it can (see there).
     """
     l, n = _check_set(name, l, n)
-    terms = _named_terms(name, l, n)
-    build = {
-        "clifford": lambda: clifford_generators(n).matrices,
-        "generalized": lambda: generalized_generators(l, n).matrices,
-        "canonical": lambda: canonical_generators(l, n).matrices,
-    }.get(name, lambda: _term_matrices(l, n, *terms))
-    return _WeylTerms(l, n, *terms, build)
+    return _WeylTerms(l, n, *_named_terms(name, l, n))
 
 
 def _named_terms(name: str, l: int, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ from .weyl import (
     _monomial_entries,
     _negation,
     _nu_powers,
+    _term_matrices,
     _weyl_adjoint,
     _wrapped_diagonals,
 )
@@ -189,22 +190,19 @@ def prepare_generators(
     gets.  An unknown ``mode`` raises ``ValueError`` before any input is
     read; so does a non-finite input, or an overflow to a non-finite entry.
 
-    A named set (:func:`~quditkit.clifford.named_generator_set`) whose l is
-    the smallest base of d = l^n gives a term-backed set: no matrix is built
-    here, :func:`closure` reads the inputs' Weyl terms, and ``matrices`` are
-    prepared as above, once, on the first access to any of them.  They are
-    read-only, like the named set's own, so the matrices that :func:`closure`
-    falls back to when the term path declines cannot disagree with the
-    terms.  A set whose l is a perfect power (4, 8, 9, ...) is prepared from
-    its matrices, since the support search tries the smallest base first and
-    may decide it there: ``[V, V^3]`` of the l=4 clock V reaches the l=2
-    codes [2, 3].
+    Weyl terms, a named set (:func:`~quditkit.clifford.named_generator_set`)
+    among them, give a term-backed set: no matrix is built here, and
+    :func:`closure` reads the terms.  Its read-only ``matrices`` are prepared
+    as above on the first access to any of them, from a stack built anew
+    from the terms, so the input never caches its own, and they cannot
+    disagree with the terms that :func:`closure` reads.
     """
     _check_mode(mode)
-    if isinstance(matrices, _WeylTerms) and _factorizations(d := matrices.l**matrices.n)[0][0] == matrices.l:
+    if isinstance(matrices, _WeylTerms):
         terms, size = matrices, len(matrices) * (1 + (mode == REAL_ANTIHERMITIAN))
-        prepared = _BuiltOnce(size, lambda: prepare_generators(list(terms), mode).matrices)
-        return GeneratorSet._prepared(name, d, prepared, mode, terms=terms)
+        fresh = functools.partial(_term_matrices, terms.l, terms.n, terms.exponents, terms.codes)
+        prepared = _BuiltOnce(size, lambda: prepare_generators(fresh(), mode).matrices)
+        return GeneratorSet._prepared(name, terms.l**terms.n, prepared, mode, terms=terms)
     arrays = _square_inputs(matrices)
     k, d = len(arrays), arrays[0].shape[0]
     real = mode == REAL_ANTIHERMITIAN
@@ -291,16 +289,16 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
     runs (the ``"dense"`` engine).  :attr:`ClosureResult.engine` reports
     which ran.
 
-    A set prepared from a named set's Weyl terms (see
-    :func:`prepare_generators`; l is then the smallest base of d, the first
-    factorization tried) is decided from the terms alone when it can be:
-    the seeds' norms, coefficients and parts off any monomials are read
-    exactly from the inputs' phases and codes, and the same checks run on
-    them, with no matrix formed.  The matrices are prepared and decide as
-    above when a check fails there (an input along the identity fails one,
-    although its projection would remove it), or when a compared quantity
-    lies within 1e-12 of ``tol``, where their rounding could decide it the
-    other way.
+    A set prepared from Weyl terms, a named set's among them (see
+    :func:`prepare_generators`), is decided from the terms alone when it
+    can be: the seeds' norms, coefficients and parts off any monomials are
+    read exactly from the inputs' phases and codes, and the same checks run
+    on them, with no matrix formed.  The matrices are prepared and decide
+    as above when l is not the smallest base of d, the first factorization
+    tried (l = 4, 8, 9, ...), when a check fails there (an input along the
+    identity fails one, although its projection would remove it), or when a
+    compared quantity lies within 1e-12 of ``tol``, where their rounding
+    could decide it the other way.
 
     Orthonormalized seeds would give the same choice in exact arithmetic:
     seed i reaches new monomials only through its part outside the span of
@@ -559,7 +557,9 @@ def _rank_margin(codes: np.ndarray, coefficients: np.ndarray, l: int, n: int, mo
 
 def _term_support(terms: _WeylTerms, mode: str, tol: float) -> Optional[Tuple[int, int, np.ndarray]]:
     """:func:`_monomial_support` of the set ``prepare_generators`` makes of ``terms``,
-    read from the terms alone, at their own (l, n); None when it is not decided there.
+    read from the terms alone, at their own (l, n); None when it is not decided there,
+    as at every l but the smallest base of l^n, which the search tries first:
+    ``[V, V^3]`` of the l=4 clock V reaches the l=2 codes [2, 3], not its [1, 3].
 
     The prepared inputs are ``nu^e W(x)`` in complex mode and, in real mode,
     ``i(M + M*)`` and ``M - M*`` of ``M = nu^e W(x)``, with
@@ -573,6 +573,8 @@ def _term_support(terms: _WeylTerms, mode: str, tol: float) -> Optional[Tuple[in
     it the other way.
     """
     l, n = terms.l, terms.n
+    if _factorizations(l**n)[0][0] != l:
+        return None
     codes, coefficients = _prepared_terms(terms, mode)
     size = np.sqrt(np.einsum("ij,ij->i", np.abs(coefficients), np.abs(coefficients)))  # norm / sqrt(d)
     ratio = size / size.max()

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import mul
 from typing import Callable, Optional, Tuple
 
@@ -346,19 +346,18 @@ class _BuiltOnce(Sequence):
 
 
 class _WeylTerms(_BuiltOnce):
-    """The matrices ``nu^e W(x)``, built once by ``build()`` and read-only, each known by its term.
+    """The matrices ``nu^e W(x)``, :func:`_term_matrices` of their terms, built once and read-only.
 
     ``exponents[i]`` (mod 2l) and ``codes[i]`` (see the module notes) name
-    element i; both are read-only, like the matrices, so the matrices and the
-    terms cannot come to disagree; a named set's are :func:`_term_matrices` of its terms.
+    element i; both are read-only, like the matrices, so the two cannot come to disagree.
     """
 
-    def __init__(self, l: int, n: int, exponents, codes, build: Callable[[], Sequence]):
+    def __init__(self, l: int, n: int, exponents, codes):
         self.l, self.n = l, n
         self.exponents, self.codes = (np.array(a, dtype=np.intp) for a in (exponents, codes))
         for a in (self.exponents, self.codes):
             a.setflags(write=False)
-        super().__init__(len(self.codes), build)
+        super().__init__(len(self.codes), partial(_term_matrices, l, n, self.exponents, self.codes))
 
     def __repr__(self) -> str:
         return f"_WeylTerms(l={self.l}, n={self.n}, len={len(self)})"

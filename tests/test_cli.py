@@ -208,6 +208,25 @@ class TestClosure:
         assert code == 2
         assert err == "error: l^n = 81 exceeds the cap 80; pass --max-dim to run larger closures\n"
 
+    def test_single_site_sets_report_and_cap_their_matrices_dimension(self, capsys):
+        # weyl-pair and tau are l x l whatever --sites says
+        code, out, _ = run(capsys, "closure", "--set", "weyl-pair", "--dim", "3", "--sites", "2")
+        assert code == 0
+        assert "\ndim: 3\ntarget-dim: 8\nachieved-dim: 8\n" in out
+        code, out, _ = run(capsys, "closure", "--set", "tau", "--dim", "7", "--sites", "2")
+        assert code == 0
+        assert "\ndim: 7\ntarget-dim: 48\nachieved-dim: 48\n" in out
+        code, out, err = run(capsys, "closure", "--set", "tau", "--dim", "7", "--max-dim", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: l^n = 7 exceeds the cap 6; pass --max-dim to run larger closures\n"
+
+    def test_unknown_set_is_a_usage_error(self, capsys, monkeypatch):
+        # as in a fresh process, where no command has bound the named-set builder yet
+        monkeypatch.delitem(main.__globals__, "named_generator_set", raising=False)
+        code, out, err = run(capsys, "closure", "--set", "no-such-set")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown generator set 'no-such-set'")
+
     def test_dimension_cap_without_forming_the_power(self):
         # 3^100000000 would take far longer than the bound to form
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -15,7 +15,6 @@ from quditkit import (
     REAL_ANTIHERMITIAN,
     canonical_generators,
     clifford_generators,
-    clock_matrix,
     closure,
     generalized_generators,
     named_generator_set,
@@ -135,21 +134,23 @@ def test_term_path_decides_as_the_matrix_path(name):
     # every named set with d <= 81, both modes, four tolerances
     for _, l, n in (case for case in NAMED_GRID_81 if case[0] == name):
         named = named_generator_set(name, l, n)
+        smallest = _factorizations(l**n)[0][0] == l
         for mode in MODES:
             gen, matrices = prepare_generators(named, mode), prepare_generators(list(named), mode)
-            if _factorizations(l**n)[0][0] != l:
-                assert gen._terms is None and isinstance(gen.matrices, tuple), (l, n)
-                continue
             assert gen._terms is named
             for tol in TOLERANCES:
                 case = (l, n, mode, tol)
                 if _term_support(named, mode, tol) is None:
-                    # The matrices decide: the same call on the same matrices.
+                    # The matrices decide: the same call on the same matrices,
+                    # which at l = 4, 8, 9, ... may decide at a smaller base.
                     # Past d = 9 only the engine choice is compared, since
                     # real mode at 0.75 runs the dense engine there.
-                    assert _monomial_support(*_kept_seeds(matrices, tol), l**n, mode, tol) is None, case
+                    if smallest:
+                        assert _monomial_support(*_kept_seeds(matrices, tol), l**n, mode, tol) is None, case
                     if l**n > 9:
                         continue
+                else:
+                    assert smallest, case
                 assert _summary(closure(gen, tol=tol)) == _summary(closure(matrices, tol=tol)), case
 
 
@@ -186,18 +187,38 @@ def test_prepared_matrices_keep_their_bytes(mode):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(gen.matrices, want))
 
 
+# named sets whose l is not the smallest base of l^n
+PERFECT_POWER_SETS = [("generalized", 4, 2), ("canonical", 4, 2), ("qudit-universal", 4, 2),
+                      ("generalized", 8, 1), ("qudit-universal", 9, 2)]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_perfect_power_orders_stay_on_the_matrix_path(mode):
     # At l=4 the support search tries l=2 first.  The clock pair {V, V^3}
     # decides there, at the codes [2, 3]; its own terms are the l=4 codes [1, 3].
-    v = clock_matrix(4)
-    pair = _WeylTerms(4, 1, [0, 0], [1, 3], lambda: [v, v @ v @ v])
-    gen = prepare_generators(pair, mode)
-    assert gen._terms is None
-    assert _summary(closure(gen)) == ("monomial", [2, 3], 1, 2, False)
-    assert _term_support(pair, mode, 1e-9)[2].tolist() == [1, 3]
-    for name in ("generalized", "canonical", "qudit-universal"):
-        assert prepare_generators(named_generator_set(name, 4, 2), mode)._terms is None
+    pair = _WeylTerms(4, 1, [0, 0], [1, 3])
+    for terms in [pair] + [named_generator_set(*case) for case in PERFECT_POWER_SETS]:
+        case = (terms, mode)
+        gen = prepare_generators(terms, mode)
+        assert gen._terms is terms and _term_support(terms, mode, 1e-9) is None, case
+        got = _summary(closure(gen))
+        # the prepared matrices come from a stack of their own, not from the set's
+        assert "_matrices" not in vars(terms), case
+        want = prepare_generators(list(terms), mode)
+        assert got == _summary(closure(want)), case
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(gen.matrices, want.matrices, strict=True)), case
+    assert _summary(closure(prepare_generators(pair, mode))) == ("monomial", [2, 3], 1, 2, False)
+
+
+def test_named_matrices_form_no_dense_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a named set's matrices formed a dense power")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    for name, l, n in [("clifford", 2, 1), ("clifford", 2, 4), ("generalized", 3, 2), ("generalized", 4, 2),
+                       ("generalized", 7, 1), ("canonical", 4, 3), ("canonical", 5, 2)]:
+        named = named_generator_set(name, l, n)
+        assert len(named[:]) == 2 * n
 
 
 def test_deciding_a_named_set_builds_no_matrix():
@@ -226,7 +247,7 @@ def test_deciding_a_named_set_takes_memory_by_the_codes_reached(mode):
 
 def test_a_term_set_that_fails_a_check_runs_on_its_matrices():
     # seeds along the identity are left to the matrices, which project them out
-    named = _WeylTerms(3, 1, [0, 0], [0, 1], lambda: [np.eye(3), clock_matrix(3)])
+    named = _WeylTerms(3, 1, [0, 0], [0, 1])  # the identity and the clock
     gen = prepare_generators(named, COMPLEX_TRACELESS)
     assert _term_support(named, COMPLEX_TRACELESS, 1e-9) is None
     assert _summary(closure(gen)) == _summary(closure(prepare_generators(list(named), COMPLEX_TRACELESS)))
