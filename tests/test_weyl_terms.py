@@ -197,6 +197,7 @@ def test_perfect_power_orders_stay_on_the_matrix_path(mode):
     # At l=4 the support search tries l=2 first.  The clock pair {V, V^3}
     # decides there, at the codes [2, 3]; its own terms are the l=4 codes [1, 3].
     pair = _WeylTerms(4, 1, [0, 0], [1, 3])
+    assert _summary(closure(prepare_generators(pair, mode))) == ("monomial", [2, 3], 1, 2, False)
     for terms in [pair] + [named_generator_set(*case) for case in PERFECT_POWER_SETS]:
         case = (terms, mode)
         gen = prepare_generators(terms, mode)
@@ -207,7 +208,6 @@ def test_perfect_power_orders_stay_on_the_matrix_path(mode):
         want = prepare_generators(list(terms), mode)
         assert got == _summary(closure(want)), case
         assert all(a.tobytes() == b.tobytes() for a, b in zip(gen.matrices, want.matrices, strict=True)), case
-    assert _summary(closure(prepare_generators(pair, mode))) == ("monomial", [2, 3], 1, 2, False)
 
 
 def test_named_matrices_form_no_dense_power(monkeypatch):
