@@ -247,6 +247,11 @@ def _resolve_set(name: str, l: int, n: int, normalized: bool) -> List[Tuple[str,
     return [(f"{name}-{i:0{width}d}", m) for i, m in enumerate(mats)]
 
 
+def _set_sites(args) -> int:
+    """The site count of the matrices ``--set`` names; weyl-pair, tau and qft are l x l whatever ``--sites``."""
+    return 1 if args.set_name in _EXTRA_SETS else args.sites
+
+
 def _load_matrix_set(source: str) -> List[np.ndarray]:
     path = Path(source)
     if path.is_dir():
@@ -311,7 +316,7 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"set: {args.set_name}")
     print(f"dim: {args.dim}")
-    print(f"sites: {args.sites}")
+    print(f"sites: {_set_sites(args)}")
     print(f"count: {len(entries)}")
     for key, matrix in entries:
         path = out_dir / f"{key}.json"
@@ -337,8 +342,7 @@ def cmd_closure(args) -> int:
     if args.set_name == "qft":
         raise ValueError("closure needs a generator set, not a single gate")
     if args.set_name is not None:
-        # weyl-pair and tau act on one site whatever --sites says: their matrices are l x l
-        sites = 1 if args.set_name in _EXTRA_SETS else args.sites
+        sites = _set_sites(args)
         dim = _power_within(args.dim, sites, args.max_dim)
         if dim is None:
             raise ValueError(
@@ -427,14 +431,22 @@ def cmd_decompose(args) -> int:
         raise FormatError(f"matrix dimension {l} does not match --dim {args.dim}")
     if l < 2:
         raise FormatError("decomposition needs dimension >= 2")
-    table = weyl_decompose(matrix, l)
-    residual = max_abs(weyl_reconstruct(table) - matrix)
+    import numpy as np  # loaded with serialize; this module imports it for type checking only
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        table = weyl_decompose(matrix, l)
+        residual = max_abs(weyl_reconstruct(table) - matrix)
+    largest = max_abs(table)
+    if not (math.isfinite(residual) and math.isfinite(largest)):
+        raise ValueError(
+            f"{args.input}: the Weyl coefficients or their reconstruction overflow the double range"
+        )
     pairs = [("report", "decompose"), ("l", str(l)),
              ("reconstruction-residual", format_float(residual))]
     lines = _render_pairs(pairs, args.format)
     # relative to the largest coefficient, so rounding dust of a large-norm
     # input is not printed as a coefficient
-    threshold = 1e-15 * max(1.0, max_abs(table))
+    threshold = 1e-15 * max(1.0, largest)
     body: List[str] = []
     for a in range(l):
         for b in range(l):

@@ -284,6 +284,9 @@ _QUBIT_SETS = ("clifford", "biproducts", "clifford-universal")
 
 def _family_terms(kind: str, l: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The terms ``(e, codes)`` of the family ``kind``, one (e, a, b) per site summed."""
+    # a code A*d + B is below d^2 = l^(2n), and np.intp holds it only up to 2^63 - 1
+    if n > 63 or int(l) ** (2 * int(n)) > 2**63:
+        raise ValueError(f"Weyl codes need l^(2n) <= 2^63, got l={l}, n={n}")
     if kind == "canonical":
         identity, shift, clock = (0, 0, 0), (0, 1, 0), (0, 0, 1)
         sites = [[identity] * site + [m] + [identity] * (n - site - 1) for site in range(n) for m in (shift, clock)]

@@ -1,8 +1,10 @@
 """Flat-file formats shared by the CLI.
 
-All documents are JSON text with every float written as a 17-significant-
-digit decimal, which round-trips IEEE doubles exactly and keeps files
-diffable across implementations.
+Every document is one JSON object: its integer header fields, one per
+line, then one list, with every float written as a 17-significant-digit
+decimal, which round-trips IEEE doubles exactly and keeps files diffable
+across implementations.  One writer produces all four layouts and raises
+``ValueError`` on a non-finite value, before it creates the file.
 
     matrix:        {"dim": d, "entries": [[re, im], ...]}      length d*d, row-major
     state:         {"l": l, "n": n, "amplitudes": [[re, im], ...]}  length l^n
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -99,35 +101,40 @@ def _get_pairs(data: dict, key: str, path: PathLike, expected: int) -> np.ndarra
     return out.view(complex).reshape(expected)
 
 
+def _write(path: PathLike, header: Dict[str, int], key: str, body: str) -> None:
+    """Write one document: the integer header fields in order, then the list ``key``."""
+    # "%.17g" writes a non-finite double as inf, -inf or nan, which no JSON reader
+    # accepts, and a finite one or an integer with no "n"; one memchr scans for it
+    if "n" in body:
+        raise ValueError(f"{path}: field {key!r} contains non-finite values")
+    fields = "".join(f'  "{name}": {value},\n' for name, value in header.items())
+    Path(path).write_text(f'{{\n{fields}  "{key}": [{body}]\n}}\n')
+
+
+def _square(table: np.ndarray, what: str) -> np.ndarray:
+    t = np.asarray(table, dtype=complex)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {t.shape}")
+    return t
+
+
+def _load_square(path: PathLike, size_key: str, minimum: int, key: str) -> np.ndarray:
+    data = _read_json(path)
+    size = _get_int(data, size_key, path, minimum)
+    return _get_pairs(data, key, path, size * size).reshape(size, size)
+
+
 def save_matrix(path: PathLike, matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    text = (
-        "{\n"
-        f'  "dim": {m.shape[0]},\n'
-        f'  "entries": [{_pair_list(m.ravel())}]\n'
-        "}\n"
-    )
-    Path(path).write_text(text)
+    m = _square(matrix, "matrix")
+    _write(path, {"dim": m.shape[0]}, "entries", _pair_list(m.ravel()))
 
 
 def load_matrix(path: PathLike) -> np.ndarray:
-    data = _read_json(path)
-    dim = _get_int(data, "dim", path, 1)
-    entries = _get_pairs(data, "entries", path, dim * dim)
-    return entries.reshape(dim, dim)
+    return _load_square(path, "dim", 1, "entries")
 
 
 def save_state(path: PathLike, state: QuditState) -> None:
-    text = (
-        "{\n"
-        f'  "l": {state.l},\n'
-        f'  "n": {state.n},\n'
-        f'  "amplitudes": [{_pair_list(state.amplitudes)}]\n'
-        "}\n"
-    )
-    Path(path).write_text(text)
+    _write(path, {"l": state.l, "n": state.n}, "amplitudes", _pair_list(state.amplitudes))
 
 
 def load_state(path: PathLike) -> QuditState:
@@ -145,8 +152,7 @@ def load_state(path: PathLike) -> QuditState:
 
 
 def save_function_table(path: PathLike, values: Sequence[int], l: int) -> None:
-    body = ", ".join(str(int(v)) for v in values)
-    Path(path).write_text("{\n" + f'  "l": {int(l)},\n  "values": [{body}]\n' + "}\n")
+    _write(path, {"l": int(l)}, "values", ", ".join(str(int(v)) for v in values))
 
 
 def load_function_table(path: PathLike) -> tuple[List[int], int]:
@@ -164,20 +170,9 @@ def load_function_table(path: PathLike) -> tuple[List[int], int]:
 
 
 def save_weyl_coefficients(path: PathLike, table: np.ndarray) -> None:
-    t = np.asarray(table, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"coefficient table must be square, got shape {t.shape}")
-    text = (
-        "{\n"
-        f'  "l": {t.shape[0]},\n'
-        f'  "coefficients": [{_pair_list(t.ravel())}]\n'
-        "}\n"
-    )
-    Path(path).write_text(text)
+    t = _square(table, "coefficient table")
+    _write(path, {"l": t.shape[0]}, "coefficients", _pair_list(t.ravel()))
 
 
 def load_weyl_coefficients(path: PathLike) -> np.ndarray:
-    data = _read_json(path)
-    l = _get_int(data, "l", path, 2)
-    coefficients = _get_pairs(data, "coefficients", path, l * l)
-    return coefficients.reshape(l, l)
+    return _load_square(path, "l", 2, "coefficients")

@@ -58,6 +58,17 @@ class TestGenerate:
         names = sorted(p.name for p in tmp_path.glob("*.json"))
         assert names == ["tau1.json", "tau2.json", "tau3.json"]
 
+    @pytest.mark.parametrize("name, count", [("weyl-pair", 2), ("tau", 3), ("qft", 1)])
+    def test_single_site_sets_report_one_site(self, tmp_path, capsys, name, count):
+        # their matrices are l x l whatever --sites says
+        code, out, _ = run(
+            capsys, "generate", "--set", name, "--dim", "3", "--sites", "2",
+            "--output", str(tmp_path),
+        )
+        assert code == 0
+        assert f"\ndim: 3\nsites: 1\ncount: {count}\n" in out
+        assert out.count(" dim=3\n") == count
+
     def test_unknown_set(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "generate", "--set", "bogus", "--output", str(tmp_path)
@@ -242,6 +253,15 @@ class TestClosure:
             "error: l^n = 3^100000000 exceeds the cap 32; pass --max-dim to run larger closures\n"
         )
 
+    def test_codes_past_intp_are_a_usage_error(self, capsys):
+        # d = 2^32 passes the cap, but the Weyl codes reach d^2 = 2^64
+        code, out, err = run(
+            capsys, "closure", "--set", "qudit-universal", "--dim", "2", "--sites", "32",
+            "--max-dim", "4294967296",
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("error: Weyl codes need l^(2n) <= 2^63, got l=2, n=32\n")
+
     def test_two_site_qudit_set(self, capsys):
         code, out, _ = run(
             capsys, "closure", "--set", "qudit-universal", "--dim", "3",
@@ -363,6 +383,16 @@ class TestDecompose:
             runs.append((out, target.read_bytes()))
         assert runs[0] == runs[1]
         assert "coefficient: a=1 b=0 re=9.9999999999999995e-07 " in runs[0][0]
+
+    def test_overflowing_coefficients_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # finite entries whose sum, the (0, 0) coefficient's FFT, overflows
+        source = tmp_path / "m.json"
+        source.write_text('{"dim": 2, "entries": [[1.7e308, 0], [0, 0], [0, 0], [1.7e308, 0]]}')
+        target = tmp_path / "c.json"
+        code, out, err = run(capsys, "decompose", "--input", str(source), "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "overflow" in err
+        assert not target.exists()
 
     def test_dim_mismatch(self, tmp_path, capsys):
         source = tmp_path / "m.json"

@@ -393,6 +393,32 @@ class TestRegistry:
         with pytest.raises(ValueError, match="l=2 only"):
             named_generator_set("biproducts", 3, 2)
 
+    @pytest.mark.parametrize("l, n", [(2, 32), (3, 20)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(partial(named_generator_set, "qudit-universal"), id="named-qudit-universal"),
+            pytest.param(partial(named_generator_set, "canonical"), id="named-canonical"),
+            qudit_universal_set,
+            generalized_generators,
+            canonical_generators,
+        ],
+    )
+    def test_codes_past_intp_raise_before_any_term(self, build, l, n):
+        # a code A*d + B is below d^2 = l^(2n), which passes 2^63 here
+        with pytest.raises(ValueError, match=f"got l={l}, n={n}$"):
+            build(l, n)
+
+    def test_qubit_codes_past_intp_raise_before_any_term(self):
+        with pytest.raises(ValueError, match="got l=2, n=32$"):
+            clifford_generators(32)
+
+    @pytest.mark.parametrize("l, n", [(2, 31), (3, 19)])
+    def test_codes_just_below_intp_build(self, l, n):
+        terms = named_generator_set("qudit-universal", l, n)
+        assert len(terms) == 2 * n
+        assert 0 < terms.codes.min() and terms.codes.max() < l ** (2 * n)
+
 
 class TestBuildersMatchTheirTerms:
     """Each family element is its term built entry by entry, byte for byte, and

@@ -116,6 +116,24 @@ def test_function_table_rejects_out_of_range(tmp_path):
         load_function_table(path)
 
 
+@pytest.mark.parametrize(
+    "save, value",
+    [
+        (save_matrix, np.nan),
+        (save_matrix, complex(0, -np.inf)),
+        (save_weyl_coefficients, np.inf),
+    ],
+)
+def test_writers_refuse_non_finite_values_and_create_no_file(tmp_path, save, value):
+    # "%.17g" would write inf or nan, which the loaders refuse as invalid JSON
+    table = np.eye(2, dtype=complex)
+    table[1, 0] = value
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        save(path, table)
+    assert not path.exists()
+
+
 def test_basis_state_file_example(tmp_path):
     path = tmp_path / "s.json"
     save_state(path, basis_state(2, 2, [0, 1]))
@@ -145,6 +163,12 @@ def test_writer_matches_element_by_element_formatting(tmp_path):
         '{\n  "l": 2,\n  "n": 3,\n  "amplitudes": ['
         + _loop_pair_list(state.amplitudes) + "]\n}\n"
     )
+    save_weyl_coefficients(path, m)
+    assert path.read_text() == (
+        '{\n  "l": 4,\n  "coefficients": [' + _loop_pair_list(m.ravel()) + "]\n}\n"
+    )
+    save_function_table(path, np.array([3, 0, 2, 1]), 4)
+    assert path.read_text() == '{\n  "l": 4,\n  "values": [3, 0, 2, 1]\n}\n'
 
 
 def _loop_reader_message(path, key, raw):
