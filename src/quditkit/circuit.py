@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .linalg import as_matrix
-from .weyl import _check_order, _nu_powers
+from .weyl import _check_order, _check_sites, _nu_powers
 
 __all__ = [
     "QuditState",
@@ -42,8 +42,7 @@ class QuditState:
 
     def __post_init__(self):
         _check_order(self.l)
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        _check_sites(self.n)
         amp = np.array(self.amplitudes, dtype=complex).reshape(-1)  # owned copy
         if amp.size != self.l**self.n:
             raise ValueError(
@@ -73,7 +72,7 @@ class GateSpec:
     def __post_init__(self):
         _check_order(self.l)
         m = as_matrix(self.matrix, "gate matrix").copy()  # owned copy
-        sites = tuple(int(s) for s in self.sites)
+        sites = tuple(_integer(s, "site") for s in self.sites)
         if len(sites) < 1:
             raise ValueError("gate needs at least one site")
         if len(set(sites)) != len(sites):
@@ -95,14 +94,12 @@ class GateSpec:
 
 def basis_state(l: int, n: int, digits: Sequence[int]) -> QuditState:
     """Computational basis state |d1 d2 ... dn> as a unit vector."""
-    l = _check_order(l)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    l, n = _check_order(l), _check_sites(n)
     if len(digits) != n:
         raise ValueError(f"expected {n} digits, got {len(digits)}")
     index = 0
     for d in digits:
-        d = int(d)
+        d = _integer(d, "digit")
         if not 0 <= d < l:
             raise ValueError(f"digit {d} out of range [0, {l})")
         index = index * l + d
@@ -122,7 +119,14 @@ def apply_full(u, state: QuditState) -> QuditState:
     return QuditState(state.l, state.n, u @ state.amplitudes)
 
 
-def _check_sites(gate: GateSpec, n: int) -> List[int]:
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is one (``int`` or ``np.integer``, as in :mod:`quditkit.weyl`)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _gate_axes(gate: GateSpec, n: int) -> List[int]:
     axes = [s - 1 for s in gate.sites]
     for s in gate.sites:
         if s > n:
@@ -134,7 +138,7 @@ def apply_kgate(gate: GateSpec, state: QuditState) -> QuditState:
     """Contract the gate over its selected site indices only."""
     if gate.l != state.l:
         raise ValueError(f"gate is l={gate.l}, state is l={state.l}")
-    axes = _check_sites(gate, state.n)
+    axes = _gate_axes(gate, state.n)
     l, n, k = state.l, state.n, gate.arity
     psi = state.amplitudes.reshape((l,) * n)
     moved = np.moveaxis(psi, axes, range(k))
@@ -150,7 +154,7 @@ def embed_kgate(gate: GateSpec, n: int) -> np.ndarray:
     Built by tensoring with the identity and permuting tensor slots; kept as
     the reference implementation that :func:`apply_kgate` is checked against.
     """
-    axes = _check_sites(gate, n)
+    axes = _gate_axes(gate, n)
     l, k = gate.l, gate.arity
     big = np.kron(gate.matrix, np.eye(l ** (n - k), dtype=complex))
     order = axes + [s for s in range(n) if s not in axes]
@@ -194,7 +198,7 @@ def _check_table(values: Sequence[int], l: int) -> List[int]:
         raise ValueError(f"function table needs {l} values, got {len(values)}")
     table = []
     for k, v in enumerate(values):
-        v = int(v)
+        v = _integer(v, f"f({k})")
         if not 0 <= v < l:
             raise ValueError(f"f({k}) = {v} out of range [0, {l})")
         table.append(v)

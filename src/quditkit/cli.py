@@ -225,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _bind(_BASE_MODULES + _COMMAND_MODULES.get(args.command, ()))
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:  # FormatError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

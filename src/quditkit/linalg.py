@@ -3,12 +3,14 @@
 Matrices are plain square numpy arrays with dtype ``complex128``.  The
 helpers here validate shapes and finiteness once, so the higher-level
 modules can assume well-formed input.  Every function is pure; nothing
-mutates its arguments.
+mutates its arguments.  The package's one Gram-Schmidt pass, :func:`_project`,
+and one orthonormalization step, :func:`_orthonormal_step`, act on flat rows
+here; the closure engine and :func:`orthonormal_extend` call them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,41 +147,49 @@ def orthonormal_extend(
 ) -> ExtendResult:
     """Try to grow an orthonormal set by one element.
 
-    The candidate is projected onto the orthogonal complement of
-    ``span(basis)`` with two passes of block classical Gram-Schmidt: with
-    the basis flattened to the rows of ``B``, each pass computes all
-    coefficients at once, ``c = conj(B) r / normalizer``, and subtracts
-    ``c B``.  The second pass restores orthogonality lost to rounding in
-    the first.  The candidate is accepted when the residual norm exceeds
-    ``tol`` relative to the candidate's own norm; the returned element is
-    unit-normalized under the same inner product as the basis.  ``tol``
-    must be finite and positive (:class:`ValueError` otherwise).
-
     ``basis`` is a sequence of (d, d) matrices or one (k, d, d) array, and
     must already be orthonormal under :func:`hs_inner` with the given
-    ``normalizer``.
+    ``normalizer``.  Divided by the root of the normalizer, its elements
+    are unit rows, and :func:`_orthonormal_step` projects the candidate on
+    their complement with two passes of block classical Gram-Schmidt, the
+    second restoring orthogonality lost to rounding in the first.  The
+    candidate is accepted when the residual norm exceeds ``tol`` relative
+    to the candidate's own norm; the returned element is unit-normalized
+    under the same inner product as the basis.  ``tol`` must be finite and
+    positive (:class:`ValueError` otherwise).  With ``normalizer=1.0`` the
+    element is bit for bit the one the closure engine admits.
     """
     _check_tolerance(tol)
     m = as_matrix(candidate, "candidate")
-    norm0 = hs_norm(m, normalizer)
+    d = m.shape[0]
+    root = np.sqrt(_resolve_normalizer(d, normalizer))
+    norm0 = float(np.linalg.norm(m.ravel()))
     if norm0 == 0.0:
         return ExtendResult(False, 0.0, None)
-    d = m.shape[0]
-    nu = _resolve_normalizer(d, normalizer)
-    residual = m.ravel().copy()
-    if len(basis):
-        flat = np.asarray(basis, dtype=complex)
-        if flat.ndim != 3 or flat.shape[1:] != m.shape:
-            raise ValueError(
-                f"basis elements must have shape {m.shape}, got {flat.shape[1:]}"
-            )
-        flat = flat.reshape(len(flat), d * d)
-        for _ in range(2):
-            # conj(B) r == conj(B conj(r)), which spares a conjugated copy of B
-            coef = (flat @ residual.conj()).conj() / nu
-            residual -= coef @ flat
-    residual = residual.reshape(d, d)
-    rnorm = hs_norm(residual, normalizer)
-    if rnorm <= tol * norm0:
-        return ExtendResult(False, rnorm, None)
-    return ExtendResult(True, rnorm, residual / rnorm)
+    flat = np.asarray(basis, dtype=complex)
+    if len(flat) and (flat.ndim != 3 or flat.shape[1:] != m.shape):
+        raise ValueError(f"basis elements must have shape {m.shape}, got {flat.shape[1:]}")
+    unit_rows = flat.reshape(len(flat), d * d) / root
+    rnorm, element = _orthonormal_step(m.ravel(), norm0, unit_rows, tol, unit=root)
+    accepted = element is not None
+    return ExtendResult(accepted, rnorm / root, element.reshape(d, d) if accepted else None)
+
+
+def _project(resid: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """One block Gram-Schmidt pass of a row or rows ``resid``: ``resid - (resid B^H) B``,
+    B the orthonormal rows of ``flat``."""
+    # R B^H == conj(conj(R) B^T) spares a conjugated copy of B; .conj() of real rows copies nothing
+    return resid - (resid.conj() @ flat.T).conj() @ flat
+
+
+def _orthonormal_step(
+    residual: np.ndarray, norm: float, flat: np.ndarray, tol: float, unit: float = 1.0
+) -> Tuple[float, Optional[np.ndarray]]:
+    """``(rnorm, element)`` of a flat ``residual``: ``rnorm`` is its norm after two
+    :func:`_project` passes, and ``element`` that result scaled to norm ``unit`` when
+    ``rnorm`` exceeds ``tol * norm`` (``norm`` taken before projection), else None.
+    The scaling is one division, which keeps signed zeros; a product would flip them."""
+    for _ in range(2):
+        residual = _project(residual, flat)
+    rnorm = float(np.linalg.norm(residual))
+    return rnorm, residual / (rnorm / unit) if rnorm > tol * norm else None

@@ -24,7 +24,8 @@ import numpy as np
 # closure does not call hs_norm; importing it keeps universality.hs_norm bound
 # for perfbench's traced run, which wraps that binding by name.
 from .linalg import hs_norm  # noqa: F401
-from .linalg import _check_tolerance, as_matrix, dagger, matrix_exp, max_abs, orthonormal_extend
+from .linalg import _check_tolerance, _orthonormal_step, _project, as_matrix, dagger
+from .linalg import matrix_exp, max_abs, orthonormal_extend
 from .vocabulary import COMPLEX_TRACELESS, MODES, REAL_ANTIHERMITIAN
 from .weyl import (
     _BuiltOnce,
@@ -32,7 +33,6 @@ from .weyl import (
     _code_digits,
     _decompose,
     _diagonal_coefficients,
-    _monomial_entries,
     _negation,
     _nu_powers,
     _term_matrices,
@@ -347,12 +347,13 @@ def closure(gen_set: GeneratorSet, *, tol: float = 1e-9) -> ClosureResult:
 
     The dense engine's basis is the Gram-Schmidt basis it grew.  Commutators
     whose norm does not exceed ``tol`` are treated as zero.  The rest are
-    screened in blocks by one block Gram-Schmidt pass against the basis:
-    one whose residual is at most ``tol`` times its norm is rejected there.
-    The survivors get a second pass, are orthonormalized in order against
-    the elements accepted earlier in their block, and are accepted under
-    the test :func:`orthonormal_extend` applies, so the accepted sequence
-    is the one a candidate-by-candidate sweep gives.  Screening is the
+    screened in blocks by one block Gram-Schmidt pass against the basis
+    (``linalg._project``): one whose residual is at most ``tol`` times its
+    norm is rejected there.  The survivors get a second pass and then, in
+    order, the orthonormalization step the seeds get through
+    :func:`orthonormal_extend` (``linalg._orthonormal_step``), against the
+    elements accepted earlier in their block, so the accepted sequence is
+    the one a candidate-by-candidate sweep gives.  Screening is the
     dominant cost, O(d^8) for a universal set (O(d^4) candidates at O(d^4)
     each), run as BLAS block products over a fixed number of candidates at
     a time.  In real mode every element is anti-Hermitian, so a commutator
@@ -745,10 +746,11 @@ class _MonomialBasis(Sequence):
     """The monomial engine's basis (see :func:`closure`), each element built on request.
 
     ``codes`` (read-only) are the reached monomials in the order reached.
-    Element i is ``a W + b W*`` for one monomial ``W``, written into a new
-    (d, d) array each time it is indexed; a slice is a sequence of the same
-    kind.  It does not build all its matrices at once, as ``weyl._BuiltOnce``
-    does, since the result must hold O(``achieved_dim``) memory, not the basis.
+    Element i is ``a W + b W*`` for one monomial ``W``, built by
+    ``weyl._term_matrices`` into a new (d, d) array each time it is indexed;
+    a slice is a sequence of the same kind.  It does not build all its
+    matrices at once, as ``weyl._BuiltOnce`` does, since the result must
+    hold O(``achieved_dim``) memory, not the basis.
     """
 
     def __init__(self, l: int, n: int, codes: np.ndarray, mode: str):
@@ -769,8 +771,9 @@ class _MonomialBasis(Sequence):
             part._rows = self._rows[index]
             return part
         i = self._rows[index]  # raises IndexError out of range, as a tuple does
-        lead, a, b = (t[i:i + 1] for t in self._terms)
-        return _monomial_matrices(self.l, self.n, lead, a, b)[0]
+        lead, a, b = (t[i] for t in self._terms)
+        w = _term_matrices(self.l, self.n, 0, [lead])[0]
+        return a * w + b * w.conj().T
 
     def __repr__(self) -> str:
         return f"_MonomialBasis(l={self.l}, n={self.n}, mode={self.mode!r}, len={len(self)})"
@@ -800,27 +803,16 @@ def _monomial_terms(
     return lead, a, b
 
 
-def _monomial_matrices(
-    l: int, n: int, lead: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """The (k, d, d) stack of ``a[i] W + b[i] W*`` with ``W = W(lead[i])``, entry by entry."""
-    d = l**n
-    cols, values = _monomial_entries(l, n, lead)
-    element, row = np.arange(len(lead))[:, None], np.arange(d)[None, :]
-    basis = np.zeros((len(lead), d, d), dtype=complex)
-    basis[element, row, cols] += a[:, None] * values
-    basis[element, cols, row] += b[:, None] * values.conj()
-    return basis
-
-
 class _BasisBuilder:
     """The growing orthonormal basis of one closure run.
 
-    The basis fills the leading rows of one complex (capacity, d, d) array
-    that doubles when full, up to d^2 rows, so its memory follows the
-    achieved dimension rather than d^2.  The screen keeps no buffers: each
-    block of ``_SCREEN_ROWS`` commutators allocates a few ``_SCREEN_ROWS x
-    d^2`` temporaries, freed when the block is done.
+    Seeds enter through :meth:`offer`, commutators through :meth:`sweep`;
+    both orthonormalize with ``linalg``'s one step.  The basis fills the
+    leading rows of one complex (capacity, d, d) array that doubles when
+    full, up to d^2 rows, so its memory follows the achieved dimension.
+    The screen keeps no buffers: each block of ``_SCREEN_ROWS``
+    commutators allocates a few ``_SCREEN_ROWS x d^2`` temporaries, freed
+    when the block is done.
 
     In real mode (``real``) the sweeps run on d^2 real coordinates per
     element (see :meth:`_encode`), held in a second, (capacity, d^2) float64
@@ -994,22 +986,15 @@ class _BasisBuilder:
     def admit(self, residual: np.ndarray, norm: float, k: int) -> None:
         """Add a screened commutator if its residual exceeds ``tol * norm``.
 
-        ``residual`` (flat, overwritten) is already orthogonal to the first
-        ``k`` elements; two passes project it against those added since,
-        and the test is the one :func:`orthonormal_extend` applies.
+        ``residual`` (flat) is already orthogonal to the first ``k``
+        elements; :func:`linalg._orthonormal_step` projects it against those
+        added since and applies the relative test.  With ``k = 0`` this is
+        what :func:`orthonormal_extend` with ``normalizer=1.0`` does, bit for
+        bit, in complex mode.
         """
-        added = self._flat()[k:self.size]
-        for _ in range(2):
-            residual -= (added @ residual.conj()).conj() @ added
-        rnorm = np.linalg.norm(residual)
-        if rnorm > self.tol * norm:
-            self._append(residual / rnorm)
-
-
-def _project(resid: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """One block Gram-Schmidt pass: ``resid - (resid B^H) B`` with B the rows of ``flat``."""
-    # R B^H == conj(conj(R) B^T), which spares a conjugated copy of B
-    return resid - np.conj(np.conj(resid) @ flat.T) @ flat
+        element = _orthonormal_step(residual, norm, self._flat()[k:self.size], self.tol)[1]
+        if element is not None:
+            self._append(element)
 
 
 def _grown(array: np.ndarray, filled: int, needed: int, limit: int) -> np.ndarray:

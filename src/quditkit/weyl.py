@@ -267,7 +267,7 @@ def _monomial_entries(l: int, n: int, codes, exponents=0) -> Tuple[np.ndarray, n
 
 
 def _term_matrices(l: int, n: int, exponents, codes) -> np.ndarray:
-    """(k, d, d) stack of the terms ``nu^e W(x)``: the package's one builder of such matrices."""
+    """(k, d, d) stack of the terms ``nu^e W(x)``, the package's one writer of such matrices."""
     cols, values = _monomial_entries(l, n, codes, exponents)
     stack = np.zeros((len(cols), l**n, l**n), dtype=complex)
     stack[np.arange(len(cols))[:, None], np.arange(l**n), cols] = values

@@ -292,3 +292,38 @@ class TestStateValidation:
     def test_norm_tracked_not_forced(self):
         state = QuditState(2, 1, np.array([3.0, 4.0]))
         assert state.norm() == pytest.approx(5.0)
+
+
+class TestIntegerInputs:
+    """Sites, digits, table values and n follow weyl's integer rule: an ``int``
+    or an ``np.integer``; anything else is a ValueError, never truncated."""
+
+    def test_fractional_site_rejected(self):
+        with pytest.raises(ValueError, match="site must be an integer, got 1.7"):
+            GateSpec(2, np.eye(2), (1.7,))
+
+    def test_fractional_digit_rejected(self):
+        with pytest.raises(ValueError, match="digit must be an integer, got 1.9"):
+            basis_state(3, 1, [1.9])
+
+    def test_fractional_table_values_rejected(self):
+        with pytest.raises(ValueError, match=r"f\(0\) must be an integer, got 0.5"):
+            perm_from_function([0.5, 1.2], 2)
+        with pytest.raises(ValueError, match=r"f\(1\) must be an integer, got 1.2"):
+            reversible_embedding([0, 1.2], 2)
+
+    def test_float_site_count_of_a_state_rejected(self):
+        # accepted before, and apply_kgate on the state then raised TypeError
+        with pytest.raises(ValueError, match="site count n must be an integer"):
+            QuditState(2, 2.0, np.ones(4))
+
+    def test_float_site_count_of_a_basis_state_rejected(self):
+        with pytest.raises(ValueError, match="site count n must be an integer"):
+            basis_state(2, 2.0, [0, 1])
+
+    def test_numpy_integers_accepted(self):
+        state = basis_state(np.int64(3), np.int32(2), [np.int64(2), np.uint8(1)])
+        assert state.amplitudes[7] == 1
+        gate = GateSpec(3, np.eye(3), (np.int64(2),))
+        assert gate.sites == (2,) and type(gate.sites[0]) is int
+        assert np.array_equal(perm_from_function(np.arange(3)[::-1], 3), perm_from_function([2, 1, 0], 3))

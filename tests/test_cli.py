@@ -262,6 +262,16 @@ class TestClosure:
         assert (code, out) == (2, "")
         assert err.endswith("error: Weyl codes need l^(2n) <= 2^63, got l=2, n=32\n")
 
+    def test_a_refused_allocation_is_a_usage_error(self, capsys):
+        # d = 2^31 passes the cap and the code check; the monomial engine's
+        # d^2 member table would be 4 EiB, which numpy refuses at once
+        code, out, err = run(
+            capsys, "closure", "--set", "qudit-universal", "--dim", "2", "--sites", "31",
+            "--max-dim", "2147483648",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: Unable to allocate 4.00 EiB")
+
     def test_two_site_qudit_set(self, capsys):
         code, out, _ = run(
             capsys, "closure", "--set", "qudit-universal", "--dim", "3",

@@ -30,7 +30,15 @@ from quditkit import (
     universal_augmentation,
 )
 from quditkit.serialize import save_matrix
-from quditkit.universality import _SCREEN_ROWS, _dense_closure, _dense_sweep, _kept_seeds, _run_rounds, _seed
+from quditkit.universality import (
+    _SCREEN_ROWS,
+    _BasisBuilder,
+    _dense_closure,
+    _dense_sweep,
+    _kept_seeds,
+    _run_rounds,
+    _seed,
+)
 
 # (label, matrices, achieved dim): the acceptance suite's seven sets.
 ACCEPTANCE_SETS = [
@@ -448,6 +456,39 @@ class TestExtendAgainstReference:
     def test_basis_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             orthonormal_extend([np.eye(3)], np.eye(2))
+
+
+class TestAdmitIsExtend:
+    """In complex mode, ``admit`` against an empty screened range (k = 0) appends, bit
+    for bit, the element ``orthonormal_extend(..., normalizer=1.0)`` returns, and
+    rejects what it rejects: seeding the dense engine through ``admit`` keeps its bytes."""
+
+    @staticmethod
+    def _admit_as_extend(builder, candidate):
+        expected = orthonormal_extend(builder.elements(), candidate, tol=builder.tol, normalizer=1.0)
+        size = builder.size
+        builder.admit(candidate.reshape(-1).copy(), float(np.linalg.norm(candidate.ravel())), 0)
+        assert builder.size == size + expected.accepted
+        if expected.accepted:
+            assert builder.elements()[-1].tobytes() == expected.new_element.tobytes()
+        return expected
+
+    def test_random_near_dependent_and_rejected_candidates(self):
+        rng = np.random.default_rng(34)
+        d = 4
+        builder = _BasisBuilder(d, 1e-10, False)
+        for _ in range(6):
+            assert self._admit_as_extend(builder, _complex_gaussian(rng, d)).accepted
+        basis = builder.elements().copy()
+        direction = orthonormal_extend(basis, _complex_gaussian(rng, d), normalizer=1.0).new_element
+        # relative residual about 1e-8 / 9.5, above the builder's 1e-10
+        near = sum((j + 1) * b for j, b in enumerate(basis)) + 1e-8 * direction
+        assert self._admit_as_extend(builder, near).accepted
+        dependent = sum((1 - 2j) ** j * b for j, b in enumerate(builder.elements()))
+        assert not self._admit_as_extend(builder, dependent).accepted
+        for _ in range(3):
+            assert self._admit_as_extend(builder, _complex_gaussian(rng, d)).accepted
+        assert builder.size == 10
 
 
 TOLERANCES = (1e-7, 1e-9, 1e-11)
